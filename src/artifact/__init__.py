@@ -5,8 +5,9 @@ sequence for corank one (Morin) singularities of maps with positive
 dimension difference d, assembles the differentials between columns,
 and extracts ranks, closed-form rank series, kernel generator classes,
 and the free graded-commutative algebra of the associated infinite
-loop space.  Everything runs over Q with fractions.Fraction and integer
-power series, no floats anywhere.
+loop space.  Everything is exact over Q: polynomials, matrices and power
+series carry int coefficients, ranks come from fraction-free elimination,
+and there are no floats or fractions anywhere.
 """
 
 __version__ = "0.1.0"
@@ -14,7 +15,7 @@ __version__ = "0.1.0"
 from .grading import (
     VariableSet, Polynomial, Series, FlavoredSpace,
     FULL, SYM, SKEW,
-    enumerate_monomials, space_series, swap, sym_skew_split, s_hom, restrict,
+    enumerate_monomials, space_series, swap, s_hom, restrict,
 )
 from .strata import Stratum, ContentPiece, enumerate_strata, euler_available, column_content
 from .actions import symmetry_action, invariant_series, oracle_crosscheck
@@ -22,6 +23,6 @@ from .e1 import BasisElement, IndexedBasis, build_basis, column_series
 from .differentials import differential, d0, d_fold, d_even_col, d_odd_col, assemble_matrix
 from .pages import (
     e2_ranks, closed_form, closed_form_notes,
-    generator_classes, verify_generators, collapse_check,
+    generator_classes, verify_generators, chain_check, collapse_check,
 )
 from .loopspace import free_gca_series, loopspace_series, mmm_subseries

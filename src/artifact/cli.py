@@ -14,8 +14,9 @@ import sys
 from .grading import VariableSet, FlavoredSpace, FULL, SYM, SKEW, Series, space_series
 from .actions import oracle_crosscheck
 from .e1 import column_series
-from .differentials import assemble_matrix
-from .pages import e2_ranks, generator_classes, verify_generators, collapse_check
+from .pages import (
+    e2_ranks, generator_classes, verify_generators, chain_check, collapse_check,
+)
 from .loopspace import loopspace_series
 
 
@@ -119,20 +120,8 @@ def _cmd_verify(args):
         add("oracle level %d" % level, not bad,
             "" if not bad else "%r first mismatch at degree %d" % bad[0])
 
-    chain_bad = None
-    for k in range(min(5, K - 1) + 1):
-        for n in range(D):
-            A = assemble_matrix(d, k, n)
-            if not A.source.elements:
-                continue
-            B = assemble_matrix(d, k + 1, n + 1)
-            if not B.compose(A).is_zero():
-                chain_bad = (k, n)
-                break
-        if chain_bad:
-            break
-    add("chain condition d(d(x)) = 0", chain_bad is None,
-        "" if chain_bad is None else "column %d degree %d" % chain_bad)
+    for name, ok, detail in chain_check(d, min(5, K - 1), D).entries:
+        add(name, ok, detail)
 
     col = collapse_check(d, D, 2, min(5, K))
     for name, ok, detail in col.entries:
@@ -163,6 +152,19 @@ def _r_value(text):
     return v
 
 
+def _int_at_least(low):
+    """argparse type for an integer option that must be >= low."""
+    def parse(text):
+        try:
+            v = int(text)
+        except ValueError:
+            v = None
+        if v is None or v < low:
+            raise argparse.ArgumentTypeError("must be an integer >= %d" % low)
+        return v
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="artifact",
@@ -171,11 +173,12 @@ def build_parser():
 
     def common(p, dim=True, r=False):
         if dim:
-            p.add_argument("--dim", type=int, required=True, help="dimension difference d")
+            p.add_argument("--dim", type=_int_at_least(1), required=True,
+                           help="dimension difference d")
         if r:
             p.add_argument("--r", type=_r_value, default="inf",
                            help="truncation order, a positive integer or inf")
-        p.add_argument("--max-degree", type=int, default=40, dest="max_degree")
+        p.add_argument("--max-degree", type=_int_at_least(0), default=40, dest="max_degree")
         p.add_argument("--format", choices=["table", "json", "csv"], default="table")
         p.add_argument("--out", default=None, help="write output to this file")
 
@@ -186,7 +189,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("e1", help="first-page rank series of one column")
-    p.add_argument("--column", type=int, required=True)
+    p.add_argument("--column", type=_int_at_least(0), required=True)
     common(p)
     p.set_defaults(fn=_cmd_e1)
 
@@ -199,7 +202,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_generators)
 
     p = sub.add_parser("oracle", help="sign-action oracle against content tables")
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int_at_least(1), required=True)
     common(p)
     p.set_defaults(fn=_cmd_oracle)
 

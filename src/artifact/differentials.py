@@ -30,8 +30,6 @@ the sheet.  At a = b the single full source maps by m - swap m (r even)
 or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 """
 
-from fractions import Fraction
-
 from .grading import Polynomial, mono_swap, mono_key, swap, restrict, s_hom, FULL, SYM, SKEW
 from .strata import Stratum, column_content, PLUS, MINUS
 from .e1 import BasisElement, build_basis
@@ -92,7 +90,7 @@ def _expand(out, s, euler, poly, coef=1):
                      if mono_key(m) < mono_key(mono_swap(m))]
     for m, c in items:
         el = BasisElement(s, piece, m)
-        v = out.get(el, Fraction(0)) + Fraction(coef) * c
+        v = out.get(el, 0) + coef * c
         if v:
             out[el] = v
         else:
@@ -236,14 +234,6 @@ class LinearMap:
             cols.append(acc)
         return LinearMap(other.source, self.target, cols)
 
-    def dense(self):
-        rows = len(self.target.elements)
-        mat = [[0] * len(self.cols) for _ in range(rows)]
-        for j, col in enumerate(self.cols):
-            for i, v in col.items():
-                mat[i][j] = v
-        return mat
-
     def __repr__(self):
         return "LinearMap(%d x %d, k=%d -> %d, n=%d -> %d)" % (
             len(self.target.elements), len(self.cols),
@@ -257,10 +247,5 @@ def assemble_matrix(d, k, n):
     tgt = build_basis(d, k + 1, n + 1)
     cols = []
     for el in src:
-        comb = differential(d, el)
-        col = {}
-        for tel, c in comb.items():
-            assert c.denominator == 1, "non-integer differential entry"
-            col[tgt.position(tel)] = int(c)
-        cols.append(col)
+        cols.append({tgt.position(tel): c for tel, c in differential(d, el).items()})
     return LinearMap(src, tgt, cols)

@@ -10,11 +10,11 @@ involution exchanges primed and unprimed variables and splits P(a, b)
 into symmetric and skew summands.  Rank counting happens in truncated
 integer power series in one variable t.
 
-All arithmetic is exact: coefficients are fractions.Fraction, series
-coefficients are int.
+All arithmetic is exact: polynomial and series coefficients are int.
+Every map the engine applies (Whitney splitting, restriction, swap,
+the attaching signs) has integer coefficients, so Polynomial admits
+int coefficients only and raises TypeError on anything else.
 """
-
-from fractions import Fraction
 
 
 class VariableSet:
@@ -125,7 +125,7 @@ def mono_str(m, primes=True):
 
 
 class Polynomial:
-    """Exact polynomial in a fixed VariableSet, sparse over Fraction."""
+    """Exact polynomial in a fixed VariableSet, sparse over int."""
 
     __slots__ = ("vars", "terms")
 
@@ -134,13 +134,14 @@ class Polynomial:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if not isinstance(c, int):
+                    raise TypeError("polynomial coefficient %r is not an int" % (c,))
                 if c:
                     self.terms[m] = c
 
     @classmethod
     def from_mono(cls, vs, m, coef=1):
-        return cls(vs, {m: Fraction(coef)})
+        return cls(vs, {m: coef})
 
     @classmethod
     def zero(cls, vs):
@@ -148,7 +149,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, vs):
-        return cls(vs, {mono_one(vs): Fraction(1)})
+        return cls(vs, {mono_one(vs): 1})
 
     def is_zero(self):
         return not self.terms
@@ -161,7 +162,7 @@ class Polynomial:
         assert self.vars == other.vars
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.vars, terms)
 
     def __sub__(self, other):
@@ -170,17 +171,13 @@ class Polynomial:
     def __neg__(self):
         return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
 
-    def scale(self, k):
-        k = Fraction(k)
-        return Polynomial(self.vars, {m: k * c for m, c in self.terms.items()})
-
     def __mul__(self, other):
         assert self.vars == other.vars
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.vars, terms)
 
     def items(self):
@@ -212,13 +209,6 @@ def swap(p):
     return Polynomial(p.vars, {mono_swap(m): c for m, c in p.terms.items()})
 
 
-def sym_skew_split(p):
-    """Split p into (symmetric, skew) parts under swap; p = s + k."""
-    sp = swap(p)
-    half = Fraction(1, 2)
-    return (p + sp).scale(half), (p - sp).scale(half)
-
-
 def restrict(p, to):
     """Carry p over to another variable set.
 
@@ -232,7 +222,7 @@ def restrict(p, to):
         es2 = tuple(es[: to.na]) + (0,) * (to.na - len(es))
         fs2 = tuple(fs[: to.nb]) + (0,) * (to.nb - len(fs))
         m = (es2, fs2)
-        terms[m] = terms.get(m, Fraction(0)) + c
+        terms[m] = terms.get(m, 0) + c
     return Polynomial(to, terms)
 
 

@@ -1,26 +1,13 @@
 """Sparse exact rank computations.
 
-Rows are dicts mapping column index to a nonzero coefficient.  Rational
-rows are cleared to integers first; elimination is fraction-free (cross
-multiplication followed by content reduction), with the pivot chosen
-deterministically as the first row holding the smallest column index.
+Rows are dicts mapping column index to a nonzero int coefficient.
+Elimination is fraction-free (cross multiplication followed by content
+reduction), so the rank over Q comes out of integer arithmetic alone;
+the pivot is chosen deterministically as the first row holding the
+smallest column index.
 """
 
-from fractions import Fraction
 from math import gcd
-
-
-def _to_int_row(row):
-    den = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    out = {}
-    for c, v in row.items():
-        iv = int(v * den) if isinstance(v, Fraction) else v * den
-        if iv:
-            out[c] = iv
-    return out
 
 
 def _reduce(row):
@@ -35,8 +22,11 @@ def _reduce(row):
 
 
 def rank(rows):
-    """Rank of the span of the given sparse rows."""
-    work = [r for r in (_to_int_row(row) for row in rows) if r]
+    """Rank over Q of the span of the given sparse integer rows.
+
+    The rows are read, never modified.
+    """
+    work = [r for r in rows if r]
     rk = 0
     while work:
         best = None
@@ -63,14 +53,3 @@ def rank(rows):
                 nxt.append(r)
         work = nxt
     return rk
-
-
-def in_span(rows, vec):
-    """Whether vec lies in the row span."""
-    base = [r for r in rows]
-    return rank(base + [vec]) == rank(base)
-
-
-def spans_match_rank(rows, extra, target_rank):
-    """rank(rows + extra) - rank(rows), compared against target_rank."""
-    return rank(list(rows) + list(extra)) - rank(rows) == target_rank

@@ -18,7 +18,6 @@ degree by degree, that they exhaust the computed second page.
 """
 
 from collections import defaultdict
-from fractions import Fraction
 
 from .grading import (
     VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
@@ -177,8 +176,8 @@ def closed_form(d, R, D):
             tau = tau + tsh(_P(2 * j + 1, d - 2 * j, D), (d + 1) + 4 * ring.nb)
         # the fold kernel carries one extra class per symmetric
         # half-square monomial while the Euler image imposes one
-        # relation per full-ring monomial; the two counts drift apart
-        # from degree d+9 (d = 0 mod 4) or d+13 (d = 2 mod 4) on
+        # relation per full-ring monomial; closed_form_notes gives the
+        # degree where the two counts drift apart
         tau = tau + tsh(_S(half, half, D) - _P(d, 0, D), d + 1)
         if Rn == 1:
             # the a = 0 block is unshifted: its own two-column sequence
@@ -241,9 +240,12 @@ def closed_form_notes(d, R):
         notes.append("a=0 fold block encoded unshifted; its own two-column "
                      "sequence cancels the Thom shift")
     if d % 2 == 0 and d >= 6 and (Rn is None or Rn >= 2):
+        # the two rank series first differ in degree 12 at d = 6 and in
+        # degree 8 for every even d >= 8, so truncating at 12 finds the gap
+        gap = _S(d // 2, d // 2, 12).first_mismatch(_P(d, 0, 12))
         notes.append("tau block adjusted by t^(d+1)(s(d/2,d/2) - b(d)): the "
                      "fold kernel and the Euler image drift apart from "
-                     "degree d+9 (d = 0 mod 4) or d+13 (d = 2 mod 4) on")
+                     "degree %d on" % (d + 1 + gap))
     if d % 2 == 1:
         notes.append("odd-d tau block encoded over P(2j, d+1-2j); Euler block "
                      "over even a <= (d-1)/2")
@@ -353,7 +355,7 @@ def generator_classes(d, D):
                 el = BasisElement(s, piece, m)
                 out.append(GeneratorClass(
                     "i", a, Polynomial.from_mono(s.vars, m),
-                    fold + s.euler_degree + md, {el: Fraction(1)}))
+                    fold + s.euler_degree + md, {el: 1}))
     if d % 4 == 3:
         s = Stratum(1, d2, d2)
         piece = [pc for pc in column_content(s) if pc.euler][0]
@@ -364,7 +366,7 @@ def generator_classes(d, D):
                 if mono_swap(m) != m:
                     q = q + Polynomial.from_mono(s.vars, mono_swap(m))
                 out.append(GeneratorClass(
-                    "i_top", None, q, fold + s.euler_degree + md, {el: Fraction(1)}))
+                    "i_top", None, q, fold + s.euler_degree + md, {el: 1}))
     return out
 
 
@@ -407,7 +409,7 @@ def verify_generators(d, D):
         acc = {}
         for el, c in cl.expansion.items():
             for tel, tc in differential(d, el).items():
-                v = acc.get(tel, Fraction(0)) + c * tc
+                v = acc.get(tel, 0) + c * tc
                 if v:
                     acc[tel] = v
                 else:
@@ -429,10 +431,7 @@ def verify_generators(d, D):
         basis1 = A.target if A is not None else build_basis(d, 1, n)
         vecs = {"sigma": [], "rest": []}
         for cl in by_deg.get(n, []):
-            vec = {}
-            for el, c in cl.expansion.items():
-                assert c.denominator == 1
-                vec[basis1.position(el)] = int(c)
+            vec = {basis1.position(el): c for el, c in cl.expansion.items()}
             key = "sigma" if (d % 2 == 0 and cl.kind == "sigma") else "rest"
             vecs[key].append(vec)
         if d % 2 == 0 and vecs["sigma"]:
@@ -451,6 +450,23 @@ def verify_generators(d, D):
         "" if span_bad is None else
         "degree %d: classes give %d, page gives %d" % span_bad))
     return CheckReport("generator check d=%d, D=%d" % (d, D), entries)
+
+
+def chain_check(d, kmax, D):
+    """d(d(x)) = 0 out of columns 0..kmax in every degree below D."""
+    bad = None
+    for k in range(kmax + 1):
+        for n in range(D):
+            A = assemble_matrix(d, k, n)
+            if A.source.elements and \
+                    not assemble_matrix(d, k + 1, n + 1).compose(A).is_zero():
+                bad = (k, n)
+                break
+        if bad:
+            break
+    return CheckReport("chain check d=%d, D=%d" % (d, D), [(
+        "chain condition d(d(x)) = 0", bad is None,
+        "" if bad is None else "column %d degree %d" % bad)])
 
 
 def collapse_check(d, D, kmin=2, kmax=5):

@@ -18,10 +18,9 @@ from artifact.actions import oracle_crosscheck
 from artifact.strata import enumerate_strata
 from artifact.e1 import build_basis
 from artifact import differentials
-from artifact.differentials import assemble_matrix
 from artifact.linalg import rank
 from artifact import pages
-from artifact.pages import e2_ranks, verify_generators, collapse_check
+from artifact.pages import e2_ranks, verify_generators, chain_check, collapse_check
 from artifact.loopspace import free_gca_series, mmm_subseries
 
 
@@ -56,18 +55,14 @@ def test_criterion_02_chain_condition():
     t0 = time.monotonic()
     bad = []
     for d in DIMS:
-        for k in range(6):
-            for n in range(40):
-                A = assemble_matrix(d, k, n)
-                if not A.source.elements:
-                    continue
-                B = assemble_matrix(d, k + 1, n + 1)
-                if not B.compose(A).is_zero():
-                    bad.append((d, k, n))
+        rep = chain_check(d, 5, 40)
+        if not rep.ok:
+            bad.extend("d=%d %s" % (d, line)
+                       for line in rep.lines() if line.startswith("FAIL"))
     elapsed = time.monotonic() - t0
     ok = not bad and elapsed < 120.0
     report(2, "d(d(x)) = 0 in columns 0..5", ok,
-           "nonzero composites at %r" % bad if bad else "ran %.1fs" % elapsed)
+           "; ".join(bad) or "ran %.1fs" % elapsed)
 
 
 def test_criterion_03_collapse():
@@ -191,45 +186,29 @@ def test_criterion_09_free_gca_sanity():
     report(9, "free algebra hand expansions", ok)
 
 
-def _chain_holds(d, kmax, D):
-    for k in range(kmax + 1):
-        for n in range(D):
-            A = assemble_matrix(d, k, n)
-            if not A.source.elements:
-                continue
-            if not assemble_matrix(d, k + 1, n + 1).compose(A).is_zero():
-                return False
-    return True
+def _checks_2_to_4_hold():
+    pages.clear_cache()
+    return (chain_check(4, 4, 20).ok
+            and collapse_check(4, 20, 2, 5).ok
+            and e2_ranks(4, "inf", 20).mismatch is None)
 
 
 def test_criterion_10_mutation_sensitivity(monkeypatch):
     detail = []
 
     # sanity: unmutated engine passes the three checks at this scale
-    pages.clear_cache()
-    baseline = (_chain_holds(4, 4, 20)
-                and collapse_check(4, 20, 2, 5).ok
-                and e2_ranks(4, "inf", 20).mismatch is None)
-    if not baseline:
+    if not _checks_2_to_4_hold():
         detail.append("baseline already failing")
 
     # mutation A: drop the sign alternation from the splitting map
     monkeypatch.setattr(differentials, "fold_sign", lambda a: 1)
-    pages.clear_cache()
-    a_broke = not (_chain_holds(4, 4, 20)
-                   and collapse_check(4, 20, 2, 5).ok
-                   and e2_ranks(4, "inf", 20).mismatch is None)
-    if not a_broke:
+    if _checks_2_to_4_hold():
         detail.append("sign flip goes unnoticed")
     monkeypatch.undo()
 
     # mutation B: drop the covering factor at the square strata
     monkeypatch.setattr(differentials, "COVER_FACTOR", 0)
-    pages.clear_cache()
-    b_broke = not (_chain_holds(4, 4, 20)
-                   and collapse_check(4, 20, 2, 5).ok
-                   and e2_ranks(4, "inf", 20).mismatch is None)
-    if not b_broke:
+    if _checks_2_to_4_hold():
         detail.append("dropped covering factor goes unnoticed")
     monkeypatch.undo()
 

@@ -108,6 +108,21 @@ def test_bad_r_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["e2", "--dim", "0"],
+    ["e2", "--dim", "4", "--max-degree", "-1"],
+    ["oracle", "--dim", "4", "--level", "0"],
+    ["e1", "--dim", "4", "--column", "-1"],
+    ["verify", "--dim", "0"],
+    ["generators", "--dim", "0"],
+])
+def test_out_of_range_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_out_flag(tmp_path, capsys):
     path = tmp_path / "series.txt"
     code, _ = run_cli(capsys, "series", "--space", "p:2,3",

@@ -135,13 +135,13 @@ class TestElementPoly:
 class TestMatrices:
     def test_fold_matrix_d4_deg5(self):
         M = assemble_matrix(4, 1, 5)
-        assert M.dense() == [[1, 1, 0], [0, 1, 1]]
+        assert M.cols == [{0: 1}, {0: 1, 1: 1}, {1: 1}]
         assert M.rank() == 2
 
     def test_d0_matrix_d4_deg4(self):
         M = assemble_matrix(4, 0, 4)
         # source is [p_1, e.1]; only the Euler column is nonzero
-        assert M.dense() == [[0, 1], [0, -1], [0, 1]]
+        assert M.cols == [{}, {0: 1, 1: -1, 2: 1}]
         assert M.rank() == 1
 
     def test_compose_is_zero_sample(self):
@@ -168,7 +168,7 @@ class TestMatrices:
         M = assemble_matrix(d, k, n)
         for col in M.cols:
             for v in col.values():
-                assert v == int(v)
+                assert type(v) is int and v != 0
 
     def test_rank_zero_map(self):
         M = assemble_matrix(5, 0, 8)

@@ -1,6 +1,8 @@
 """Graded-vector-space layer: monomials, polynomials, series, flavors."""
 
-from fractions import Fraction
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from artifact.grading import (
     VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
     mono_one, mono_degree, mono_mul, mono_swap, mono_key,
-    enumerate_monomials, mono_str, swap, sym_skew_split, restrict, s_hom,
+    enumerate_monomials, mono_str, swap, restrict, s_hom,
     space_series, sym_reps, skew_reps,
 )
 
@@ -88,11 +90,24 @@ class TestPolynomial:
         r = p * q
         assert dict(r.items()) == {((1,), (1,)): 3}
 
-    def test_scale_fraction(self):
-        vs = VariableSet(1, 0)
-        p = Polynomial.from_mono(vs, ((2,), ()))
-        q = p.scale(Fraction(1, 2))
-        assert dict(q.items()) == {((2,), ()): Fraction(1, 2)}
+    def test_non_int_coefficient_rejected_under_O(self):
+        # the type check is the exactness guard, so it must survive -O,
+        # and Fraction(2) is refused although its value is integral
+        import artifact
+        code = (
+            "from fractions import Fraction\n"
+            "from artifact.grading import Polynomial, VariableSet\n"
+            "for c in (Fraction(1, 2), Fraction(2)):\n"
+            "    try:\n"
+            "        Polynomial(VariableSet(1, 0), {((1,), ()): c})\n"
+            "    except TypeError:\n"
+            "        continue\n"
+            "    raise SystemExit('accepted %r' % c)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_repr_signs(self):
         vs = VariableSet(1, 1)
@@ -106,24 +121,6 @@ class TestSwapAndSplit:
         vs = VariableSet(2, 2)
         p = Polynomial.from_mono(vs, ((1, 0), (1, 0)))
         assert swap(p) == p
-
-    @given(square_vs, degrees)
-    @settings(max_examples=40)
-    def test_split_reassembles(self, vs, n):
-        for m in enumerate_monomials(vs, n):
-            p = Polynomial.from_mono(vs, m)
-            s, k = sym_skew_split(p)
-            assert s + k == p
-            assert swap(s) == s
-            assert swap(k) == -k
-
-    def test_split_on_skew_vector(self):
-        vs = VariableSet(1, 1)
-        p = (Polynomial.from_mono(vs, ((1,), (0,)))
-             - Polynomial.from_mono(vs, ((0,), (1,))))
-        s, k = sym_skew_split(p)
-        assert s.is_zero()
-        assert k == p
 
 
 class TestRestrict:

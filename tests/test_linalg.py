@@ -1,11 +1,9 @@
 """Exact sparse rank computations."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.linalg import rank, in_span, spans_match_rank
+from artifact.linalg import rank
 
 
 def test_rank_identity():
@@ -23,30 +21,11 @@ def test_rank_empty():
     assert rank([{}, {}]) == 0
 
 
-def test_rank_fractions_cleared():
-    rows = [{0: Fraction(1, 2), 1: Fraction(1, 3)},
-            {0: 3, 1: 2}]
-    assert rank(rows) == 1
-
-
 def test_rank_known_3x3():
     rows = [{0: 2, 1: 1, 2: 1},
             {0: 1, 1: 3, 2: 2},
             {0: 1, 1: 0, 2: 0}]
     assert rank(rows) == 3
-
-
-def test_in_span():
-    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}]
-    assert in_span(rows, {0: 1, 2: -1})
-    assert not in_span(rows, {0: 1})
-
-
-def test_spans_match_rank():
-    rows = [{0: 1}]
-    extra = [{0: 5}, {1: 1}, {0: 1, 1: 2}]
-    assert spans_match_rank(rows, extra, 1)
-    assert not spans_match_rank(rows, extra, 2)
 
 
 vectors = st.lists(st.integers(-4, 4), min_size=4, max_size=4)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import pages
+from artifact import differentials, pages
 from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes,
-    verify_generators, collapse_check,
+    verify_generators, chain_check, collapse_check,
 )
 
 
@@ -87,6 +87,13 @@ def test_d6_correction_is_noted():
     assert closed_form_notes(6, 1) is not None
 
 
+@pytest.mark.parametrize("d,degree", [(6, 19), (8, 17), (10, 19)])
+def test_drift_degree_in_notes(d, degree):
+    # first nonzero coefficient of t^(d+1)(S(d/2,d/2) - P(d,0))
+    notes = closed_form_notes(d, "inf")
+    assert any("drift apart from degree %d on" % degree in note for note in notes)
+
+
 def test_d8_extra_fold_classes():
     # the half-square symmetric count outgrows the full-ring count,
     # so extra kernel classes survive above the Euler image
@@ -105,6 +112,14 @@ def test_closed_form_standalone_agrees_with_report():
 def test_collapse(d):
     col = collapse_check(d, 16)
     assert col.ok, "\n".join(col.lines())
+
+
+def test_chain_check_names_first_failure(monkeypatch):
+    assert chain_check(4, 4, 20).ok
+    monkeypatch.setattr(differentials, "fold_sign", lambda a: 1)
+    rep = chain_check(4, 4, 20)
+    assert rep.entries == [("chain condition d(d(x)) = 0", False,
+                            "column 0 degree 4")]
 
 
 @pytest.mark.parametrize("d,D,count", [(4, 18, 8), (5, 18, 13),
