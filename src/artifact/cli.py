@@ -99,7 +99,10 @@ def _cmd_oracle(args):
 
 
 def _cmd_loopspace(args):
-    ser = loopspace_series(args.dim, args.r, args.max_degree, args.offset)
+    try:
+        ser = loopspace_series(args.dim, args.r, args.max_degree, args.offset)
+    except ValueError as e:
+        raise UsageError(str(e))
     return Result(series=list(ser.c), table=[",".join(str(x) for x in ser.c)])
 
 

@@ -241,9 +241,21 @@ class LinearMap:
             self.source.degree, self.target.degree)
 
 
-def assemble_matrix(d, k, n):
-    """Matrix of the differential out of column k, total degree n."""
-    src = build_basis(d, k, n)
+def assemble_matrix(d, k, n, source=None):
+    """Matrix of the differential out of column k, total degree n.
+
+    source, when given, is the already built basis of (k, n), typically
+    the target basis of the matrix out of (k - 1, n - 1); it is used
+    instead of building that basis again.
+    """
+    if source is None:
+        src = build_basis(d, k, n)
+    elif (source.d, source.column, source.degree) != (d, k, n):
+        raise ValueError(
+            "source basis is d=%d column %d degree %d, expected d=%d column %d "
+            "degree %d" % (source.d, source.column, source.degree, d, k, n))
+    else:
+        src = source
     tgt = build_basis(d, k + 1, n + 1)
     cols = []
     for el in src:

@@ -1,10 +1,18 @@
 """Sparse exact rank computations.
 
 Rows are dicts mapping column index to a nonzero int coefficient.
-Elimination is fraction-free (cross multiplication followed by content
-reduction), so the rank over Q comes out of integer arithmetic alone;
-the pivot is chosen deterministically as the first row holding the
-smallest column index.
+rank first splits the rows into connected components: a union-find
+over column indices joins every column a row touches, so rows in
+different components share no column and the matrix is block-diagonal
+up to a permutation of rows and columns.  The rank is the sum of the
+block ranks.  The differentials beyond the fold column keep stratum
+and monomial fixed, so their matrices fall apart into many blocks of
+a few rows each.
+
+Each block is eliminated fraction-free (cross multiplication followed
+by content reduction), so the rank over Q comes out of integer
+arithmetic alone; the pivot is chosen deterministically as the first
+row holding the smallest column index.
 """
 
 from math import gcd
@@ -21,12 +29,8 @@ def _reduce(row):
     return row
 
 
-def rank(rows):
-    """Rank over Q of the span of the given sparse integer rows.
-
-    The rows are read, never modified.
-    """
-    work = [r for r in rows if r]
+def _eliminate(work):
+    """Rank of a list of nonzero rows by fraction-free elimination."""
     rk = 0
     while work:
         best = None
@@ -53,3 +57,36 @@ def rank(rows):
                 nxt.append(r)
         work = nxt
     return rk
+
+
+def _find(parent, c):
+    root = parent.setdefault(c, c)
+    while root != parent[root]:
+        root = parent[root]
+    while c != root:
+        parent[c], c = root, parent[c]
+    return root
+
+
+def _components(rows):
+    """The nonzero rows grouped so that no two groups share a column."""
+    parent = {}
+    for r in rows:
+        it = iter(r)
+        first = _find(parent, next(it))
+        for c in it:
+            root = _find(parent, c)
+            if root != first:
+                parent[root] = first
+    groups = {}
+    for r in rows:
+        groups.setdefault(_find(parent, next(iter(r))), []).append(r)
+    return groups.values()
+
+
+def rank(rows):
+    """Rank over Q of the span of the given sparse integer rows.
+
+    The rows are read, never modified.
+    """
+    return sum(_eliminate(g) for g in _components([r for r in rows if r]))

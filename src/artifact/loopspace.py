@@ -40,7 +40,8 @@ def loopspace_series(d, R, D, offset=0):
 
     Generator degrees follow the spectrum convention; pass a nonzero
     offset to shift every generator degree by that amount (the usual
-    delooping shift between the spectrum and the space level).
+    delooping shift between the spectrum and the space level).  Raises
+    ValueError if the offset moves a generator below degree 1.
     """
     top = max(1, D - offset)
     report = e2_ranks(d, R, top)
@@ -48,7 +49,10 @@ def loopspace_series(d, R, D, offset=0):
     for n in range(1, top + 1):
         g = report.total[n]
         if g:
-            assert n + offset >= 1, "offset pushes a generator below degree 1"
+            if n + offset < 1:
+                raise ValueError(
+                    "offset %d moves the degree %d generators to degree %d, "
+                    "below 1" % (offset, n, n + offset))
             gens[n + offset] = gens.get(n + offset, 0) + g
     return free_gca_series(gens, D)
 

@@ -11,6 +11,11 @@ Summing over columns gives the total cohomology rank series, which is
 compared coefficient by coefficient against the closed-form series
 encoded per residue of d.
 
+The grid and the chain check walk each diagonal n - k = c with the
+column ascending.  The target basis of the map out of (k, n) is the
+source basis of the map out of (k + 1, n + 1), so each step hands it on
+instead of enumerating it again, and only two bases are alive at once.
+
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
 them with their fold-column expansions and verify_generators checks,
@@ -53,6 +58,11 @@ def clear_cache():
     _GRID.clear()
 
 
+def _diagonal(K, D, c):
+    """(k, n) with n - k = c, 0 <= k <= K and 0 <= n <= D, k ascending."""
+    return [(k, k + c) for k in range(max(0, -c), min(K, D - c) + 1)]
+
+
 def _grid(d, D):
     entry = _GRID.get(d)
     if entry is not None and entry[0] >= D:
@@ -60,9 +70,14 @@ def _grid(d, D):
     K = max(1, D - d)
     sizes = {}
     ranks = {}
-    for k in range(K + 1):
-        for n in range(D + 1):
-            A = assemble_matrix(d, k, n)
+    # walk each diagonal n - k = c upwards: the target basis of the map
+    # out of (k, n) is the source basis of the map out of (k + 1, n + 1),
+    # so every basis is built once and only two are alive at a time
+    for c in range(-K, D + 1):
+        source = None
+        for k, n in _diagonal(K, D, c):
+            A = assemble_matrix(d, k, n, source=source)
+            source = A.target
             if A.source.elements:
                 sizes[(k, n)] = len(A.source.elements)
                 ranks[(k, n)] = A.rank()
@@ -133,7 +148,9 @@ def e2_ranks(d, R, D):
             im_in = ranks.get((k - 1, n - 1), 0) if k >= 1 and n >= 1 else 0
             ker = size - out_rank
             e2 = ker - im_in
-            assert e2 >= 0, "image exceeds kernel at column %d degree %d" % (k, n)
+            if e2 < 0:
+                raise ArithmeticError(
+                    "image exceeds kernel at column %d degree %d" % (k, n))
             cells[(k, n)] = PageCell(k, n, size, out_rank, ker, im_in, e2)
             total[n] += e2
     total = Series(total, D)
@@ -455,15 +472,21 @@ def verify_generators(d, D):
 def chain_check(d, kmax, D):
     """d(d(x)) = 0 out of columns 0..kmax in every degree below D."""
     bad = None
-    for k in range(kmax + 1):
-        for n in range(D):
-            A = assemble_matrix(d, k, n)
-            if A.source.elements and \
-                    not assemble_matrix(d, k + 1, n + 1).compose(A).is_zero():
+    # walk each diagonal n - k = c upwards: the second factor at (k, n)
+    # is the first factor at (k + 1, n + 1); the first failure in
+    # (column, degree) order is the smallest one over all diagonals
+    for c in range(-kmax, D):
+        A = None
+        for k, n in _diagonal(kmax, D - 1, c):
+            if bad is not None and (k, n) > bad:
+                break
+            if A is None:
+                A = assemble_matrix(d, k, n)
+            B = assemble_matrix(d, k + 1, n + 1, source=A.target)
+            if A.source.elements and not B.compose(A).is_zero():
                 bad = (k, n)
                 break
-        if bad:
-            break
+            A = B
     return CheckReport("chain check d=%d, D=%d" % (d, D), [(
         "chain condition d(d(x)) = 0", bad is None,
         "" if bad is None else "column %d degree %d" % bad)])

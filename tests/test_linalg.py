@@ -1,9 +1,13 @@
 """Exact sparse rank computations."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.linalg import rank
+from artifact import pages
+from artifact.differentials import assemble_matrix
+from artifact.e1 import build_basis
+from artifact.linalg import rank, _components, _eliminate
 
 
 def test_rank_identity():
@@ -61,3 +65,69 @@ def test_adding_a_combination_keeps_rank(vs):
             combo[c] = combo.get(c, 0) + x
     combo = {c: x for c, x in combo.items() if x}
     assert rank(rows + [combo]) == rank(rows)
+
+
+blocks = st.lists(st.lists(vectors, min_size=1, max_size=4), min_size=1, max_size=5)
+
+
+@given(blocks, st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_block_diagonal_rank_is_sum_of_block_ranks(bs, rnd):
+    # block i owns columns 4i..4i+3 before the relabelling, so blocks
+    # share no column; rows are shuffled and columns permuted
+    width = 4 * len(bs)
+    relabel = list(range(width))
+    rnd.shuffle(relabel)
+    rows = []
+    for i, block in enumerate(bs):
+        for v in block:
+            rows.append({relabel[4 * i + c]: x for c, x in enumerate(v) if x})
+    rnd.shuffle(rows)
+    expected = sum(_eliminate([r for r in map(_as_row, b) if r]) for b in bs)
+    assert rank(rows) == expected
+
+
+def test_chain_of_overlapping_rows_is_one_component():
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {2: 1, 3: 1}, {0: 1, 3: 1}]
+    assert len(list(_components(rows))) == 1
+    # the fourth row is the alternating sum of the first three
+    assert rank(rows) == 3
+    assert len(list(_components([{0: 1}, {1: 1}, {0: 2, 1: 5}]))) == 1
+    assert len(list(_components([{0: 1}, {2: 1}, {1: 3}]))) == 3
+    # a row joins every column it touches, not only its first two
+    rows = [{0: 1, 1: 1, 2: 1}, {2: 1}, {0: 1, 1: 1}]
+    assert len(list(_components(rows))) == 1
+    assert rank(rows) == 2
+
+
+def test_split_rank_equals_unsplit_on_the_8_40_grid():
+    D = 40
+    for k in range(max(1, D - 8) + 1):
+        for n in range(D + 1):
+            cols = assemble_matrix(8, k, n).cols
+            assert rank(cols) == _eliminate([c for c in cols if c]), (k, n)
+
+
+@pytest.mark.parametrize("d,D", [(4, 20), (5, 22)])
+def test_diagonal_grid_matches_per_cell_assembly(d, D):
+    pages.clear_cache()
+    _, sizes, ranks = pages._grid(d, D)
+    pages.clear_cache()
+    want_sizes, want_ranks = {}, {}
+    for k in range(max(1, D - d) + 1):
+        for n in range(D + 1):
+            A = assemble_matrix(d, k, n)
+            if A.source.elements:
+                want_sizes[(k, n)] = len(A.source.elements)
+                want_ranks[(k, n)] = A.rank()
+    assert sizes == want_sizes
+    assert ranks == want_ranks
+
+
+def test_mismatched_source_basis_raises():
+    src = build_basis(4, 1, 5)
+    assert assemble_matrix(4, 1, 5, source=src).cols == \
+        assemble_matrix(4, 1, 5).cols
+    for bad in (build_basis(4, 2, 5), build_basis(4, 1, 6), build_basis(5, 1, 5)):
+        with pytest.raises(ValueError, match="expected d=4 column 1 degree 5"):
+            assemble_matrix(4, 1, 5, source=bad)

@@ -1,5 +1,10 @@
 """Second-page ranks, closed forms, collapse, and generator verification."""
 
+import os
+import subprocess
+import sys
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,6 +127,25 @@ def test_chain_check_names_first_failure(monkeypatch):
                             "column 0 degree 4")]
 
 
+def test_chain_check_reports_smallest_failure_across_diagonals(monkeypatch):
+    # failures on three diagonals, met in the walk in the reverse of
+    # (column, degree) order; the report must still name the smallest
+    failing = {(3, 1), (2, 3), (1, 9), (1, 12)}
+
+    class Map:
+        def __init__(self, k, n):
+            self.cell = (k, n)
+            self.source = self.target = types.SimpleNamespace(elements=[1])
+
+        def compose(self, first):
+            return types.SimpleNamespace(
+                is_zero=lambda: first.cell not in failing)
+
+    monkeypatch.setattr(pages, "assemble_matrix",
+                        lambda d, k, n, source=None: Map(k, n))
+    assert chain_check(4, 4, 20).entries[0][2] == "column 1 degree 9"
+
+
 @pytest.mark.parametrize("d,D,count", [(4, 18, 8), (5, 18, 13),
                                        (6, 20, 11), (7, 18, 6)])
 def test_generator_counts(d, D, count):
@@ -156,3 +180,24 @@ def test_cache_survives_clearing():
     pages.clear_cache()
     b = e2_ranks(4, "inf", 12).total
     assert a == b
+
+
+def test_negative_e2_raises_under_O():
+    # the e2 >= 0 guard is what catches a rank that overcounts, so it
+    # must survive -O; an overcounting rank trips it in the first cell
+    import artifact
+    code = (
+        "from artifact import linalg, pages\n"
+        "linalg.rank = lambda rows: len(rows) + 1\n"
+        "try:\n"
+        "    pages.e2_ranks(4, 'inf', 12)\n"
+        "except ArithmeticError as e:\n"
+        "    print(e)\n"
+        "else:\n"
+        "    raise SystemExit('negative e2 accepted')\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "image exceeds kernel at column 0 degree 0"
