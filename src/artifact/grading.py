@@ -277,13 +277,6 @@ class Series:
         return cls([1], D)
 
     @classmethod
-    def delta(cls, n, D):
-        c = [0] * (D + 1)
-        if 0 <= n <= D:
-            c[n] = 1
-        return cls(c, D)
-
-    @classmethod
     def geom(cls, n, D):
         """1 / (1 - t^n)."""
         assert n >= 1
@@ -291,12 +284,6 @@ class Series:
         for k in range(0, D + 1, n):
             c[k] = 1
         return cls(c, D)
-
-    @classmethod
-    def one_plus(cls, n, D):
-        """1 + t^n."""
-        assert n >= 1
-        return cls.one(D) + cls.delta(n, D)
 
     @classmethod
     def ring(cls, degrees, D):

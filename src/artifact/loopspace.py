@@ -13,6 +13,8 @@ mmm_subseries returns its rank series, which is independent of the
 truncation order.
 """
 
+from math import comb
+
 from .grading import Series
 from .pages import e2_ranks
 
@@ -20,19 +22,28 @@ from .pages import e2_ranks
 def free_gca_series(gens, D):
     """Poincare series of a free graded-commutative algebra.
 
-    gens maps generator degree (>= 1) to multiplicity.  A degree-0
-    entry would sit in the unit and is rejected.
+    gens maps generator degree (>= 1) to multiplicity (>= 0).  A
+    degree-0 entry would sit in the unit; it and a negative multiplicity
+    raise ValueError.
     """
-    out = Series.one(D)
+    out = [1] + [0] * D
     for n in sorted(gens):
         g = gens[n]
-        assert n >= 1 and g >= 0
+        if n < 1 or g < 0:
+            raise ValueError("generator degree %d with multiplicity %d: the "
+                             "degree must be >= 1 and the multiplicity >= 0"
+                             % (n, g))
         if g == 0 or n > D:
             continue
-        factor = Series.geom(n, D) if n % 2 == 0 else Series.one_plus(n, D)
-        for _ in range(g):
-            out = out * factor
-    return out
+        # binomial theorem: (1 - t^n)^(-g) = sum_j C(g+j-1, j) t^(nj) and
+        # (1 + t^n)^g = sum_j C(g, j) t^(nj), with C(g, j) = 0 for j > g
+        new = list(out)
+        for j in range(1, D // n + 1):
+            f = comb(g + j - 1, j) if n % 2 == 0 else comb(g, j)
+            if f:
+                new[n * j:] = [x + f * y for x, y in zip(new[n * j:], out)]
+        out = new
+    return Series(out, D)
 
 
 def loopspace_series(d, R, D, offset=0):

@@ -15,6 +15,8 @@ The grid and the chain check walk each diagonal n - k = c with the
 column ascending.  The target basis of the map out of (k, n) is the
 source basis of the map out of (k + 1, n + 1), so each step hands it on
 instead of enumerating it again, and only two bases are alive at once.
+The grid grows in D and is never rebuilt: a request with a larger max
+degree builds only the cells the cached grid lacks.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
@@ -46,7 +48,8 @@ def _norm_R(R):
             return None
         R = int(R)
     R = int(R)
-    assert R >= 1
+    if R < 1:
+        raise ValueError("truncation order %d is below 1" % R)
     return R
 
 
@@ -64,18 +67,21 @@ def _diagonal(K, D, c):
 
 
 def _grid(d, D):
-    entry = _GRID.get(d)
-    if entry is not None and entry[0] >= D:
+    D0, sizes, ranks = entry = _GRID.get(d, (-1, {}, {}))
+    if D0 >= D:
         return entry
-    K = max(1, D - d)
-    sizes = {}
-    ranks = {}
+    K0, K = max(1, D0 - d), max(1, D - d)
     # walk each diagonal n - k = c upwards: the target basis of the map
     # out of (k, n) is the source basis of the map out of (k + 1, n + 1),
-    # so every basis is built once and only two are alive at a time
+    # so every basis is built once and only two are alive at a time.
+    # A cell depends only on (d, k, n), and the cells already built
+    # (n <= D0, k <= K0) are a prefix of each diagonal, so growing D
+    # builds only the rest; a cold build grows from D0 = -1
     for c in range(-K, D + 1):
         source = None
         for k, n in _diagonal(K, D, c):
+            if n <= D0 and k <= K0:
+                continue
             A = assemble_matrix(d, k, n, source=source)
             source = A.target
             if A.source.elements:

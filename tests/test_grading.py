@@ -190,9 +190,6 @@ class TestSeries:
     def test_geom(self):
         assert Series.geom(4, 12).c == [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1]
 
-    def test_one_plus(self):
-        assert Series.one_plus(3, 7).c == [1, 0, 0, 1, 0, 0, 0, 0]
-
     def test_ring(self):
         ser = Series.ring([4, 8], 12)
         assert ser.c == [1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2]

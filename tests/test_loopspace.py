@@ -1,5 +1,9 @@
 """Free graded-commutative algebras on the second-page generators."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +18,7 @@ def test_single_even_generator_is_polynomial():
 
 
 def test_single_odd_generator_is_exterior():
-    assert free_gca_series({13: 1}, 16) == Series.one_plus(13, 16)
+    assert free_gca_series({13: 1}, 16).c == [1] + [0] * 12 + [1, 0, 0, 0]
 
 
 def test_mixed_generators():
@@ -31,8 +35,45 @@ def test_generators_above_cutoff_ignored():
 
 
 def test_rejects_degree_zero():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         free_gca_series({0: 1}, 8)
+
+
+def test_rejects_negative_multiplicity_under_O():
+    import artifact
+    code = (
+        "from artifact.loopspace import free_gca_series\n"
+        "try:\n"
+        "    free_gca_series({2: -1}, 10)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+        "else:\n"
+        "    raise SystemExit('negative multiplicity accepted')\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("generator degree 2 with multiplicity -1")
+
+
+def _repeated_product(gens, D):
+    """The series multiplied out one generator at a time."""
+    out = Series.one(D)
+    for n, g in gens.items():
+        factor = Series.geom(n, D) if n % 2 == 0 else \
+            Series([1] + [0] * (n - 1) + [1], D)
+        for _ in range(g):
+            out = out * factor
+    return out
+
+
+@given(st.dictionaries(st.integers(1, 20), st.integers(0, 30), max_size=5),
+       st.integers(0, 40))
+@settings(max_examples=60, deadline=None)
+def test_matches_repeated_product(gens, D):
+    # odd multiplicities above D / n exercise the C(g, j) = 0 tail
+    assert free_gca_series(gens, D) == _repeated_product(gens, D)
 
 
 @given(st.dictionaries(st.integers(1, 10), st.integers(0, 2), max_size=3),

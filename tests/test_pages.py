@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import differentials, pages
+from artifact.loopspace import loopspace_series
 from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes,
     verify_generators, chain_check, collapse_check,
@@ -201,3 +202,77 @@ def test_negative_e2_raises_under_O():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "image exceeds kernel at column 0 degree 0"
+
+
+def _snapshot(rep):
+    cells = {key: (c.e1_rank, c.d_rank, c.kernel_rank,
+                   c.image_rank_from_left, c.e2_rank)
+             for key, c in rep.cells.items()}
+    return cells, rep.total.c
+
+
+@given(st.integers(3, 6),
+       st.lists(st.integers(6, 30), min_size=2, max_size=4, unique=True),
+       st.sampled_from([1, 2, 3, "inf"]))
+@settings(max_examples=20, deadline=None)
+def test_grown_grid_matches_cold_grid(d, degrees, R):
+    pages.clear_cache()
+    warm = [_snapshot(e2_ranks(d, R, D)) for D in degrees]
+    for D, got in zip(degrees, warm):
+        pages.clear_cache()
+        assert _snapshot(e2_ranks(d, R, D)) == got
+    # truncation consistency: a smaller D gives a prefix of the series
+    top = max(degrees)
+    longest = warm[degrees.index(top)][1]
+    for D, (_, total) in zip(degrees, warm):
+        assert total == longest[:D + 1]
+
+
+def test_growing_the_grid_assembles_only_the_new_cells(monkeypatch):
+    calls = []
+    real = pages.assemble_matrix
+
+    def counting(d, k, n, source=None):
+        calls.append((d, k, n))
+        return real(d, k, n, source=source)
+
+    monkeypatch.setattr(pages, "assemble_matrix", counting)
+
+    def assembled(*degrees, cold=True):
+        if cold:
+            pages.clear_cache()
+        del calls[:]
+        for D in degrees:
+            e2_ranks(4, "inf", D)
+        return list(calls)
+
+    small, large = assembled(20), assembled(30)
+    assembled(20)
+    grown = assembled(30, cold=False)
+    assert grown and sorted(grown) == sorted(set(large) - set(small))
+    assert assembled(25, 30, 12, cold=False) == []
+
+
+@pytest.mark.parametrize("R", [0, -1, "0"])
+def test_truncation_below_one_is_rejected(R):
+    for fn in (e2_ranks, closed_form, loopspace_series):
+        with pytest.raises(ValueError, match="truncation order"):
+            fn(6, R, 30)
+
+
+def test_truncation_below_one_is_rejected_under_O():
+    import artifact
+    code = (
+        "from artifact import pages\n"
+        "try:\n"
+        "    pages.e2_ranks(6, 0, 30)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+        "else:\n"
+        "    raise SystemExit('truncation 0 accepted')\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "truncation order 0 is below 1"
