@@ -10,7 +10,7 @@ part maps by
 
     e . m  |->  sum_a (-1)^a U_{a, d+1-a, 1} . s_hom(m),
 
-the Whitney splitting computed in each target's own variables.
+one image, restricted down the fold staircase.
 
 Fold to level 2 (d1):  every Euler-carrying fold element dies.  The
 Euler-free part of the stratum (a, b) maps by restriction of variables,
@@ -30,7 +30,9 @@ the sheet.  At a = b the single full source maps by m - swap m (r even)
 or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 """
 
-from .grading import Polynomial, mono_swap, mono_key, swap, restrict, s_hom, FULL, SYM, SKEW
+from .grading import (
+    VariableSet, Polynomial, mono_swap, swap, restrict, s_hom, FULL, SYM,
+)
 from .strata import Stratum, column_content, PLUS, MINUS
 from .e1 import BasisElement, build_basis
 
@@ -82,12 +84,10 @@ def _expand(out, s, euler, poly, coef=1):
         sp = swap(poly)
         if piece.flavor == SYM:
             assert sp == poly, "image claimed symmetric is not"
-            items = [(m, c) for m, c in poly.terms.items()
-                     if mono_key(m) <= mono_key(mono_swap(m))]
+            items = [(m, c) for m, c in poly.terms.items() if m[1] <= m[0]]
         else:
             assert sp == -poly, "image claimed skew is not"
-            items = [(m, c) for m, c in poly.terms.items()
-                     if mono_key(m) < mono_key(mono_swap(m))]
+            items = [(m, c) for m, c in poly.terms.items() if m[1] < m[0]]
     for m, c in items:
         el = BasisElement(s, piece, m)
         v = out.get(el, 0) + coef * c
@@ -97,17 +97,29 @@ def _expand(out, s, euler, poly, coef=1):
             out.pop(el, None)
 
 
+def restriction_expansion(d, a_top, p):
+    """Fold-column coordinates of sum_{a <= a_top} (-1)^a U_{a, d+1-a, 1} . p|.
+
+    p| is restrict(p) to the variables of the fold stratum (a, d+1-a).
+    """
+    out = {}
+    for a in range(a_top + 1):
+        t = Stratum(1, a, d + 1 - a)
+        _expand(out, t, False, restrict(p, t.vars), fold_sign(a))
+    return out
+
+
 def d0(d, el):
     """Column 0 into the fold column."""
-    s = el.stratum
-    assert s.level == 0
-    out = {}
+    assert el.stratum.level == 0
     if not el.piece.euler:
-        return out
-    for a in range(d // 2 + 1):
-        t = Stratum(1, a, d + 1 - a)
-        _expand(out, t, False, s_hom((el.mono[0], ()), t.vars), fold_sign(a))
-    return out
+        return {}
+    # s_hom is a ring map that commutes with restrict (both send the
+    # out-of-range variables to 0), so one image in the smallest ring
+    # holding every fold stratum's variables restricts to the image in
+    # each target's own variables
+    image = s_hom((el.mono[0], ()), VariableSet(d // 2, d + 1))
+    return restriction_expansion(d, d // 2, image)
 
 
 def d_fold(d, el):

@@ -15,7 +15,7 @@ first), then monomial.
 
 from .grading import (
     Series, enumerate_monomials, sym_reps, skew_reps,
-    mono_degree, mono_key, mono_str, FULL, SYM, SKEW,
+    mono_degree, mono_str, FULL, SYM, SKEW,
 )
 from .strata import enumerate_strata, column_content, content_series
 
@@ -35,9 +35,6 @@ class BasisElement:
         if self.piece.euler:
             d += s.euler_degree
         return d
-
-    def key(self):
-        return (self.stratum.key(), self.piece.euler, mono_key(self.mono))
 
     def _ident(self):
         return (self.stratum, self.piece.euler, self.mono)

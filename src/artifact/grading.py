@@ -263,7 +263,8 @@ class Series:
         coeffs = list(coeffs)
         if D is None:
             D = len(coeffs) - 1
-        assert D >= 0
+        if D < 0:
+            raise ValueError("max degree %d is below 0" % D)
         coeffs = coeffs[: D + 1] + [0] * (D + 1 - len(coeffs))
         self.c = coeffs
         self.D = D
@@ -392,11 +393,9 @@ def space_series(space, D):
 
 def sym_reps(vs, degree):
     """Orbit representatives spanning the symmetric part in one degree."""
-    return [m for m in enumerate_monomials(vs, degree)
-            if mono_key(m) <= mono_key(mono_swap(m))]
+    return [m for m in enumerate_monomials(vs, degree) if m[1] <= m[0]]
 
 
 def skew_reps(vs, degree):
     """Orbit representatives spanning the skew part in one degree."""
-    return [m for m in enumerate_monomials(vs, degree)
-            if mono_key(m) < mono_key(mono_swap(m))]
+    return [m for m in enumerate_monomials(vs, degree) if m[1] < m[0]]

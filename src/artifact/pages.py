@@ -28,29 +28,27 @@ from collections import defaultdict
 
 from .grading import (
     VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
-    enumerate_monomials, sym_reps, skew_reps, space_series, s_hom,
-    restrict, mono_swap,
+    enumerate_monomials, skew_reps, space_series, s_hom, mono_swap,
 )
-from .strata import Stratum, column_content
-from .e1 import BasisElement, build_basis
+from .strata import enumerate_strata
+from .e1 import BasisElement, build_basis, _piece_monomials
 from .differentials import (
-    differential, d0, fold_sign, assemble_matrix, _expand,
+    differential, assemble_matrix, restriction_expansion, element_poly,
+    _piece_for,
 )
 from .linalg import rank
 
 
 def _norm_R(R):
     """Normalize a truncation parameter; None stands for the full sequence."""
-    if R is None or R == float("inf"):
+    if R is None or R == float("inf") or R == "inf":
         return None
-    if isinstance(R, str):
-        if R == "inf":
-            return None
-        R = int(R)
-    R = int(R)
-    if R < 1:
-        raise ValueError("truncation order %d is below 1" % R)
-    return R
+    Rn = int(R)
+    if not isinstance(R, str) and Rn != R:
+        raise ValueError("truncation order %r is not an integer" % (R,))
+    if Rn < 1:
+        raise ValueError("truncation order %d is below 1" % Rn)
+    return Rn
 
 
 # rank grid cache: d -> (D, sizes, ranks)
@@ -189,14 +187,13 @@ def closed_form(d, R, D):
     Rn = _norm_R(R)
     tsh = lambda ser, k: ser.tshift(k)
     B = _P(d, 0, D)
+    # tau block: one family per a_top <= d/2 of the parity of d + 1
+    tau = Series.zero(D)
+    for a_top in range((d + 1) % 2, d // 2 + 1, 2):
+        tau = tau + tsh(_P(a_top, d + 1 - a_top, D),
+                        d + 1 + 4 * ((d + 1 - a_top) // 2))
     if d % 2 == 0:
         half = d // 2
-        # tau block: one family per odd a_top = 2j + 1
-        jmax = d // 4 - 1 if d % 4 == 0 else (d - 2) // 4
-        tau = Series.zero(D)
-        for j in range(jmax + 1):
-            ring = VariableSet(2 * j + 1, d + 1 - (2 * j + 1))
-            tau = tau + tsh(_P(2 * j + 1, d - 2 * j, D), (d + 1) + 4 * ring.nb)
         # the fold kernel carries one extra class per symmetric
         # half-square monomial while the Euler image imposes one
         # relation per full-ring monomial; closed_form_notes gives the
@@ -228,10 +225,6 @@ def closed_form(d, R, D):
         return B + tau + tsh(blk, d + Rn)
     # d odd
     d2 = (d + 1) // 2
-    jmax = (d - 1) // 4
-    tau = Series.zero(D)
-    for j in range(jmax + 1):
-        tau = tau + tsh(_P(2 * j, d + 1 - 2 * j, D), (d + 1) + 4 * (d2 - j))
     sig = tsh(_A(d2, d2, D), d + 1)
     icls = Series.zero(D)
     for a in range(0, d2, 2):
@@ -308,88 +301,55 @@ class GeneratorClass:
         return "%s deg=%d" % (self.label(), self.degree)
 
 
-def _restriction_expansion(d, a_top, p):
-    """sum over a <= a_top of (-1)^a U_{a, d+1-a, 1} . restrict(p)."""
-    exp = {}
-    for a in range(a_top + 1):
-        t = Stratum(1, a, d + 1 - a)
-        _expand(exp, t, False, restrict(p, t.vars), fold_sign(a))
-    return exp
-
-
 def generator_classes(d, D):
     """All fold-column kernel generators of degree <= D.
 
-    tau classes restrict a multiple of the top primed variable down the
-    fold staircase.  For even d the sigma classes are the d0-images of
-    the Euler part of column 0 (their defining polynomial is the
-    Whitney image in the square variable set).  For odd d the sigma
-    classes restrict a skew polynomial from the top fold stratum, and
-    the Euler-carried I classes survive unchanged.
+    Every tau and sigma class is a polynomial restricted down the fold
+    staircase (restriction_expansion).  tau classes, one family per
+    a_top of the parity of d + 1, restrict a multiple of the top primed
+    variable of P(a_top, d+1-a_top).  For even d the sigma classes are
+    the d0-images of the Euler part of column 0 (their defining
+    polynomial is the Whitney image in the square variable set).  For
+    odd d the sigma classes restrict a skew polynomial from the top fold
+    stratum, and the Euler part of the fold column, which d_fold kills
+    and nothing maps into, gives the I classes (I_top at a = b).
     """
     out = []
     fold = d + 1
-    if d % 2 == 0:
-        jmax = d // 4 - 1 if d % 4 == 0 else (d - 2) // 4
-        for j in range(jmax + 1):
-            a_top = 2 * j + 1
-            ring = VariableSet(a_top, d + 1 - a_top)
-            idx = ring.nb
-            unit = ((0,) * ring.na, tuple(1 if t == idx - 1 else 0 for t in range(ring.nb)))
-            for md in range(0, D - fold - 4 * idx + 1, 4):
-                for m in enumerate_monomials(ring, md):
-                    p = Polynomial.from_mono(ring, m) * Polynomial.from_mono(ring, unit)
-                    exp = _restriction_expansion(d, a_top, p)
-                    out.append(GeneratorClass("tau", j, p, fold + 4 * idx + md, exp))
-        s0 = Stratum(0, d, 0)
-        piece = [pc for pc in column_content(s0) if pc.euler][0]
-        square = VariableSet(d, d)
-        for md in range(0, D - fold + 1, 4):
-            for m in enumerate_monomials(VariableSet(d, 0), md):
-                el = BasisElement(s0, piece, m)
-                q = s_hom((m[0], ()), square)
-                out.append(GeneratorClass("sigma", None, q, fold + md, d0(d, el)))
-        return out
-    d2 = (d + 1) // 2
-    jmax = (d - 1) // 4
-    for j in range(jmax + 1):
-        a_top = 2 * j
+    for a_top in range((d + 1) % 2, d // 2 + 1, 2):
         ring = VariableSet(a_top, d + 1 - a_top)
         idx = ring.nb
         unit = ((0,) * ring.na, tuple(1 if t == idx - 1 else 0 for t in range(ring.nb)))
         for md in range(0, D - fold - 4 * idx + 1, 4):
             for m in enumerate_monomials(ring, md):
                 p = Polynomial.from_mono(ring, m) * Polynomial.from_mono(ring, unit)
-                exp = _restriction_expansion(d, a_top, p)
-                out.append(GeneratorClass("tau", j, p, fold + 4 * idx + md, exp))
+                out.append(GeneratorClass("tau", a_top // 2, p, fold + 4 * idx + md,
+                                          restriction_expansion(d, a_top, p)))
+    if d % 2 == 0:
+        square = VariableSet(d, d)
+        for md in range(0, D - fold + 1, 4):
+            for m in enumerate_monomials(VariableSet(d, 0), md):
+                q = s_hom((m[0], ()), square)
+                out.append(GeneratorClass("sigma", None, q, fold + md,
+                                          restriction_expansion(d, d // 2, q)))
+        return out
+    d2 = (d + 1) // 2
     square = VariableSet(d2, d2)
     for md in range(0, D - fold + 1, 4):
         for k in skew_reps(square, md):
             q = Polynomial.from_mono(square, k) - Polynomial.from_mono(square, mono_swap(k))
-            exp = _restriction_expansion(d, d2, q)
-            out.append(GeneratorClass("sigma", None, q, fold + md, exp))
-    for a in range(0, d2, 2):
-        s = Stratum(1, a, d + 1 - a)
-        piece = [pc for pc in column_content(s) if pc.euler]
-        assert piece, "Euler piece missing on an even fold stratum"
-        piece = piece[0]
+            out.append(GeneratorClass("sigma", None, q, fold + md,
+                                      restriction_expansion(d, d2, q)))
+    for s in enumerate_strata(d, 1):
+        piece = _piece_for(s, True)
+        if piece is None:
+            continue
+        kind, family = ("i_top", None) if s.a == s.b else ("i", s.a)
         for md in range(0, D - fold - s.euler_degree + 1, 4):
-            for m in enumerate_monomials(s.vars, md):
+            for m in _piece_monomials(s, piece, md):
                 el = BasisElement(s, piece, m)
-                out.append(GeneratorClass(
-                    "i", a, Polynomial.from_mono(s.vars, m),
-                    fold + s.euler_degree + md, {el: 1}))
-    if d % 4 == 3:
-        s = Stratum(1, d2, d2)
-        piece = [pc for pc in column_content(s) if pc.euler][0]
-        for md in range(0, D - fold - s.euler_degree + 1, 4):
-            for m in sym_reps(s.vars, md):
-                el = BasisElement(s, piece, m)
-                q = Polynomial.from_mono(s.vars, m)
-                if mono_swap(m) != m:
-                    q = q + Polynomial.from_mono(s.vars, mono_swap(m))
-                out.append(GeneratorClass(
-                    "i_top", None, q, fold + s.euler_degree + md, {el: 1}))
+                out.append(GeneratorClass(kind, family, element_poly(el),
+                                          el.degree, {el: 1}))
     return out
 
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.grading import Polynomial, swap
+from artifact.grading import Polynomial, swap, s_hom
 from artifact.strata import Stratum
 from artifact.e1 import build_basis
 from artifact.differentials import (
     fold_sign, COVER_FACTOR, element_poly, d0, d_fold,
-    differential, LinearMap, assemble_matrix,
+    differential, LinearMap, assemble_matrix, _expand,
 )
 
 
@@ -45,6 +45,24 @@ class TestD0:
             for el in build_basis(5, 0, n):
                 assert not el.piece.euler
                 assert d0(5, el) == {}
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12])
+    def test_matches_whitney_image_per_target(self, d):
+        # reference: the Whitney image built in each target's own variables
+        def per_target(el):
+            out = {}
+            for a in range(d // 2 + 1):
+                t = Stratum(1, a, d + 1 - a)
+                _expand(out, t, False, s_hom((el.mono[0], ()), t.vars), fold_sign(a))
+            return out
+
+        seen = 0
+        for n in range(41):
+            for el in build_basis(d, 0, n):
+                if el.piece.euler:
+                    seen += 1
+                    assert d0(d, el) == per_target(el)
+        assert seen
 
 
 class TestDFold:

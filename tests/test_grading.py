@@ -185,6 +185,15 @@ class TestSplittingHom:
         g = s_hom(((0, 1), ()), tgt)
         assert s_hom(((1, 1), ()), tgt) == f * g
 
+    @given(_monos(st.integers(0, 14).map(lambda n: VariableSet(n, 0))),
+           st.integers(0, 9), st.integers(0, 9),
+           st.integers(0, 9), st.integers(0, 9))
+    @settings(max_examples=60)
+    def test_commutes_with_restriction(self, m, a, b, da, db):
+        # d0 builds one image and restricts it to every fold stratum
+        big, small = VariableSet(a + da, b + db), VariableSet(a, b)
+        assert restrict(s_hom(m, big), small) == s_hom(m, small)
+
 
 class TestSeries:
     def test_geom(self):

@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import differentials, pages
+from artifact.grading import Series
 from artifact.loopspace import loopspace_series
 from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes,
@@ -43,6 +45,8 @@ def test_r_parameter_spellings_agree():
     b = e2_ranks(4, "inf", 16).total
     c = e2_ranks(4, float("inf"), 16).total
     assert a == b == c
+    two = e2_ranks(4, 2, 16).total
+    assert e2_ranks(4, "2", 16).total == e2_ranks(4, 2.0, 16).total == two
 
 
 def test_deep_truncation_is_the_full_sequence():
@@ -160,6 +164,17 @@ def test_generators_verify(d):
     assert rep.ok, "\n".join(rep.lines())
 
 
+@pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
+def test_odd_generator_counts_match_closed_form(d):
+    # tau, sigma, I and I_top together are the closed form minus column 0
+    D = 50
+    counts = [0] * (D + 1)
+    for cl in generator_classes(d, D):
+        counts[cl.degree] += 1
+    want = closed_form(d, "inf", D) - pages._P(d, 0, D)
+    assert Series(counts, D) == want
+
+
 def test_generator_degrees_within_bound():
     for cl in generator_classes(5, 17):
         assert cl.degree <= 17
@@ -258,6 +273,33 @@ def test_truncation_below_one_is_rejected(R):
     for fn in (e2_ranks, closed_form, loopspace_series):
         with pytest.raises(ValueError, match="truncation order"):
             fn(6, R, 30)
+
+
+@pytest.mark.parametrize("R", [2.5, Fraction(5, 2), 1.5])
+def test_non_integral_truncation_is_rejected(R):
+    for fn in (e2_ranks, closed_form, loopspace_series):
+        with pytest.raises(ValueError, match="truncation order .* is not an integer"):
+            fn(6, R, 30)
+
+
+def test_negative_max_degree_is_rejected_under_O():
+    import artifact
+    code = (
+        "from artifact.pages import e2_ranks\n"
+        "from artifact.loopspace import loopspace_series\n"
+        "for fn in (e2_ranks, loopspace_series):\n"
+        "    try:\n"
+        "        fn(6, 'inf', -1)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('max degree -1 accepted by %s' % fn.__name__)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["max degree -1 is below 0"] * 2
 
 
 def test_truncation_below_one_is_rejected_under_O():
