@@ -19,6 +19,7 @@ crosscheck between the two is part of the acceptance suite.
 
 from .grading import Series, enumerate_monomials, mono_swap
 from .strata import enumerate_strata, content_series
+from .pages import CheckReport
 
 
 class ActionGen:
@@ -86,7 +87,8 @@ def group_closure(gens):
 
 def symmetry_action(s):
     """Generators of the residual symmetry group of one stratum."""
-    assert s.level >= 1
+    if s.level < 1:
+        raise ValueError("level %d is below 1" % s.level)
     beta = ActionGen(False, -1, -1, 1, -1, -1)
     lv = s.level
     if lv == 1:
@@ -187,38 +189,11 @@ def invariant_series(s, D):
     return Series(c, D)
 
 
-class CrosscheckReport:
-    """Per-stratum comparison of oracle invariants against table content."""
-
-    __slots__ = ("d", "level", "entries")
-
-    def __init__(self, d, level, entries):
-        self.d = d
-        self.level = level
-        self.entries = entries
-
-    @property
-    def ok(self):
-        return all(mis is None for _, mis in self.entries)
-
-    def lines(self):
-        out = []
-        for s, mis in self.entries:
-            if mis is None:
-                out.append("ok   %r" % s)
-            else:
-                out.append("FAIL %r first mismatch at degree %d" % (s, mis))
-        return out
-
-    def __repr__(self):
-        return "\n".join(self.lines())
-
-
 def oracle_crosscheck(d, level, D):
     """Compare invariant_series with the hard-coded content, stratum by stratum."""
     entries = []
     for s in enumerate_strata(d, level):
-        inv = invariant_series(s, D)
-        tab = content_series(s, D)
-        entries.append((s, inv.first_mismatch(tab)))
-    return CrosscheckReport(d, level, entries)
+        mis = invariant_series(s, D).first_mismatch(content_series(s, D))
+        entries.append((repr(s), mis is None,
+                        "" if mis is None else "first mismatch at degree %d" % mis))
+    return CheckReport("oracle crosscheck d=%d, level %d" % (d, level), entries)

@@ -16,6 +16,7 @@ from .actions import oracle_crosscheck
 from .e1 import column_series
 from .pages import (
     e2_ranks, generator_classes, verify_generators, chain_check, collapse_check,
+    CheckReport,
 )
 from .loopspace import loopspace_series
 
@@ -80,21 +81,21 @@ def _cmd_e2(args):
 
 
 def _cmd_generators(args):
-    classes = generator_classes(args.dim, args.max_degree)
+    rows = [{"degree": cl.degree, "kind": cl.kind, "family": cl.family,
+             "label": cl.label()}
+            for cl in generator_classes(args.dim, args.max_degree)]
+    rows.sort(key=lambda r: (r["degree"], r["kind"], str(r["family"]), r["label"]))
     counts = [0] * (args.max_degree + 1)
-    rows = []
-    for cl in sorted(classes, key=lambda c: (c.degree, c.kind, str(c.family), c.label())):
-        counts[cl.degree] += 1
-        rows.append({"degree": cl.degree, "kind": cl.kind,
-                     "family": cl.family, "label": cl.label()})
+    for r in rows:
+        counts[r["degree"]] += 1
     table = ["%4d  %s" % (r["degree"], r["label"]) for r in rows]
     return Result(series=counts, report=rows, table=table)
 
 
 def _cmd_oracle(args):
     rep = oracle_crosscheck(args.dim, args.level, args.max_degree)
-    rows = [{"stratum": repr(s), "ok": mis is None,
-             "first_mismatch": mis} for s, mis in rep.entries]
+    rows = [{"stratum": name, "ok": ok, "first_mismatch": detail or None}
+            for name, ok, detail in rep.entries]
     return Result(exit=0 if rep.ok else 1, report=rows, table=rep.lines())
 
 
@@ -109,38 +110,23 @@ def _cmd_loopspace(args):
 def _cmd_verify(args):
     d, D = args.dim, args.max_degree
     K = max(1, D - d)
-    rows = []
-    table = []
-
-    def add(name, ok, detail=""):
-        rows.append({"check": name, "ok": ok, "detail": detail})
-        table.append("%s %s%s" % ("ok  " if ok else "FAIL", name,
-                                  " (%s)" % detail if detail else ""))
-
+    entries = []
     for level in range(1, min(7, K) + 1):
-        rep = oracle_crosscheck(d, level, D)
-        bad = [(s, mis) for s, mis in rep.entries if mis is not None]
-        add("oracle level %d" % level, not bad,
-            "" if not bad else "%r first mismatch at degree %d" % bad[0])
-
-    for name, ok, detail in chain_check(d, min(5, K - 1), D).entries:
-        add(name, ok, detail)
-
-    col = collapse_check(d, D, 2, min(5, K))
-    for name, ok, detail in col.entries:
-        add("collapse " + name, ok, detail)
-
-    rep = e2_ranks(d, args.r, D)
-    add("closed form matches computed ranks", rep.mismatch is None,
-        "" if rep.mismatch is None else
-        "first failing degree %d (all columns summed)" % rep.mismatch)
-
-    gen = verify_generators(d, D)
-    for name, ok, detail in gen.entries:
-        add("generators: " + name, ok, detail if not ok else "")
-
-    code = 0 if all(r["ok"] for r in rows) else 1
-    return Result(exit=code, report=rows, table=table)
+        bad = [(name, detail) for name, ok, detail in
+               oracle_crosscheck(d, level, D).entries if not ok]
+        entries.append(("oracle level %d" % level, not bad,
+                        "%s %s" % bad[0] if bad else ""))
+    entries += chain_check(d, min(5, K - 1), D).entries
+    entries += collapse_check(d, D, 2, min(5, K)).entries
+    mis = e2_ranks(d, args.r, D).mismatch
+    entries.append(("closed form matches computed ranks", mis is None,
+                    "" if mis is None else
+                    "first failing degree %d (all columns summed)" % mis))
+    entries += verify_generators(d, D).entries
+    rep = CheckReport("verify d=%d, D=%d" % (d, D), entries)
+    rows = [{"check": name, "ok": ok, "detail": detail}
+            for name, ok, detail in rep.entries]
+    return Result(exit=0 if rep.ok else 1, report=rows, table=rep.lines())
 
 
 def _r_value(text):

@@ -77,16 +77,19 @@ def _expand(out, s, euler, poly, coef=1):
     if poly.is_zero() or coef == 0:
         return
     piece = _piece_for(s, euler)
-    assert piece is not None, "image hits a stratum without matching content"
+    if piece is None:
+        raise ArithmeticError("image hits a stratum without matching content")
     if piece.flavor == FULL:
         items = poly.terms.items()
     else:
         sp = swap(poly)
         if piece.flavor == SYM:
-            assert sp == poly, "image claimed symmetric is not"
+            if sp != poly:
+                raise ArithmeticError("image claimed symmetric is not")
             items = [(m, c) for m, c in poly.terms.items() if m[1] <= m[0]]
         else:
-            assert sp == -poly, "image claimed skew is not"
+            if sp != -poly:
+                raise ArithmeticError("image claimed skew is not")
             items = [(m, c) for m, c in poly.terms.items() if m[1] < m[0]]
     for m, c in items:
         el = BasisElement(s, piece, m)

@@ -314,6 +314,7 @@ def generator_classes(d, D):
     stratum, and the Euler part of the fold column, which d_fold kills
     and nothing maps into, gives the I classes (I_top at a = b).
     """
+    fold_strata = enumerate_strata(d, 1)  # rejects d < 1
     out = []
     fold = d + 1
     for a_top in range((d + 1) % 2, d // 2 + 1, 2):
@@ -340,7 +341,7 @@ def generator_classes(d, D):
             q = Polynomial.from_mono(square, k) - Polynomial.from_mono(square, mono_swap(k))
             out.append(GeneratorClass("sigma", None, q, fold + md,
                                       restriction_expansion(d, d2, q)))
-    for s in enumerate_strata(d, 1):
+    for s in fold_strata:
         piece = _piece_for(s, True)
         if piece is None:
             continue
@@ -399,7 +400,8 @@ def verify_generators(d, D):
                     del acc[tel]
         if acc:
             bad_kernel += 1
-    entries = [("all classes lie in ker d1", bad_kernel == 0,
+    entries = [("generators: all classes lie in ker d1", bad_kernel == 0,
+                "" if bad_kernel == 0 else
                 "%d classes, %d failures" % (len(classes), bad_kernel))]
 
     by_deg = defaultdict(list)
@@ -427,9 +429,9 @@ def verify_generators(d, D):
         if got != e2 and span_bad is None:
             span_bad = (n, got, e2)
     if d % 2 == 0:
-        entries.append(("sigma classes lie in im d0", sigma_ok, ""))
+        entries.append(("generators: sigma classes lie in im d0", sigma_ok, ""))
     entries.append((
-        "remaining classes span E2 column 1", span_bad is None,
+        "generators: remaining classes span E2 column 1", span_bad is None,
         "" if span_bad is None else
         "degree %d: classes give %d, page gives %d" % span_bad))
     return CheckReport("generator check d=%d, D=%d" % (d, D), entries)
@@ -471,7 +473,7 @@ def collapse_check(d, D, kmin=2, kmax=5):
             if ker != im:
                 bad = (n, ker, im)
                 break
-        entries.append(("column %d exact" % k, bad is None,
+        entries.append(("collapse column %d exact" % k, bad is None,
                         "" if bad is None else
                         "degree %d: kernel %d, image %d" % bad))
     return CheckReport("collapse check d=%d, D=%d" % (d, D), entries)

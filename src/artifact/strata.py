@@ -59,9 +59,6 @@ class Stratum:
         # e_{a,b} = e_a e_b, with e_0 = 1; for level 0 this is e_d
         return self.a + self.b
 
-    def key(self):
-        return (self.level, self.a, 0 if self.sign != MINUS else 1)
-
     def __eq__(self, other):
         return isinstance(other, Stratum) and \
             (self.level, self.a, self.b, self.sign) == \
@@ -79,7 +76,10 @@ class Stratum:
 
 def enumerate_strata(d, level):
     """All strata of one level, sorted by a, then sign (+ before -)."""
-    assert d >= 1 and level >= 0
+    if d < 1:
+        raise ValueError("dimension difference %d is below 1" % d)
+    if level < 0:
+        raise ValueError("level %d is below 0" % level)
     if level == 0:
         return [Stratum(0, d, 0)]
     if level == 1:
@@ -92,7 +92,6 @@ def enumerate_strata(d, level):
         else:
             out.append(Stratum(level, a, b, PLUS))
             out.append(Stratum(level, a, b, MINUS))
-    out.sort(key=Stratum.key)
     return out
 
 

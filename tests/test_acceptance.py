@@ -43,8 +43,8 @@ def test_criterion_01_oracle_table_agreement():
             rep = oracle_crosscheck(d, level, 40)
             if not rep.ok:
                 failures.extend(
-                    "d=%d %r mismatch at %d" % (d, s, mis)
-                    for s, mis in rep.entries if mis is not None)
+                    "d=%d %s %s" % (d, name, detail)
+                    for name, ok, detail in rep.entries if not ok)
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 60.0
     report(1, "oracle agrees with content tables", ok,

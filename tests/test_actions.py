@@ -1,9 +1,14 @@
 """Sign-action oracle: groups, signed orbits, content crosscheck."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import actions
+from artifact.cli import main
+from artifact.grading import Series
 from artifact.strata import Stratum, enumerate_strata, content_series
 from artifact.actions import (
     ActionGen, IDENTITY, compose, group_closure, symmetry_action,
@@ -120,3 +125,46 @@ class TestOracle:
         lines = rep.lines()
         assert len(lines) == 3
         assert all(line.startswith("ok") for line in lines)
+
+
+def _break_content(monkeypatch, target, degree):
+    # the table content of one stratum gains a class, so the oracle
+    # and the table first disagree there
+    real = actions.content_series
+
+    def broken(s, D):
+        ser = real(s, D)
+        if s != target:
+            return ser
+        c = list(ser.c)
+        c[degree] += 1
+        return Series(c, D)
+
+    monkeypatch.setattr(actions, "content_series", broken)
+
+
+def test_crosscheck_names_the_failing_stratum(monkeypatch):
+    _break_content(monkeypatch, Stratum(2, 1, 3), 10)
+    rep = oracle_crosscheck(4, 2, 20)
+    assert not rep.ok
+    assert rep.entries == [("A_2(0,4)", True, ""),
+                           ("A_2(1,3)", False, "first mismatch at degree 10"),
+                           ("A_2(2,2)", True, "")]
+    assert rep.lines()[1] == "FAIL A_2(1,3) (first mismatch at degree 10)"
+
+
+def test_failing_crosscheck_fails_oracle_and_verify(monkeypatch, capsys):
+    _break_content(monkeypatch, Stratum(2, 1, 3), 10)
+    assert main(["oracle", "--dim", "4", "--level", "2", "--max-degree", "20",
+                 "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out)["report"]
+    assert rows[1] == {"stratum": "A_2(1,3)", "ok": False,
+                       "first_mismatch": "first mismatch at degree 10"}
+    assert rows[0]["first_mismatch"] is None
+    assert main(["verify", "--dim", "4", "--max-degree", "20",
+                 "--format", "json"]) == 1
+    rows = {r["check"]: r for r in json.loads(capsys.readouterr().out)["report"]}
+    assert rows["oracle level 2"] == {
+        "check": "oracle level 2", "ok": False,
+        "detail": "A_2(1,3) first mismatch at degree 10"}
+    assert [name for name, r in rows.items() if not r["ok"]] == ["oracle level 2"]

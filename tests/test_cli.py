@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
+from artifact.actions import oracle_crosscheck
 from artifact.cli import main, build_parser
+from artifact.pages import (
+    e2_ranks, chain_check, collapse_check, verify_generators,
+)
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +98,30 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "ok   chain condition" in out
+
+
+def test_verify_even_dimension_fails_at_the_generator_span(capsys):
+    code, out = run_cli(capsys, "verify", "--dim", "8", "--max-degree", "40")
+    assert code == 1
+    assert out.splitlines()[-1] == (
+        "FAIL generators: remaining classes span E2 column 1 "
+        "(degree 17: classes give 0, page gives 1)")
+
+
+def test_verify_json_rows_are_the_library_entries(capsys):
+    d, D = 8, 40
+    code, out = run_cli(capsys, "verify", "--dim", str(d), "--max-degree",
+                        str(D), "--format", "json")
+    assert code == 1
+    entries = [("oracle level %d" % level, oracle_crosscheck(d, level, D).ok, "")
+               for level in range(1, 8)]
+    entries += chain_check(d, 5, D).entries + collapse_check(d, D, 2, 5).entries
+    entries.append(("closed form matches computed ranks",
+                    e2_ranks(d, "inf", D).mismatch is None, ""))
+    entries += verify_generators(d, D).entries
+    assert json.loads(out)["report"] == [
+        {"check": name, "ok": ok, "detail": detail}
+        for name, ok, detail in entries]
 
 
 def test_bad_space_is_usage_error(capsys):

@@ -1,5 +1,9 @@
 """Differential rules and assembled matrices."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,3 +195,33 @@ class TestMatrices:
     def test_rank_zero_map(self):
         M = assemble_matrix(5, 0, 8)
         assert M.is_zero() and M.rank() == 0
+
+
+def test_expand_guards_survive_O():
+    # p_1 is neither symmetric nor skew, and the square fold stratum
+    # (1, 2, 2) takes it only through e.SYM or SKEW; (1, 1, 4) has no
+    # Euler piece at all.  Under -O a wrong rule must still fail loudly
+    # instead of reading off wrong orbit coordinates
+    import artifact
+    code = (
+        "from artifact.grading import Polynomial, VariableSet\n"
+        "from artifact.strata import Stratum\n"
+        "from artifact.differentials import _expand\n"
+        "p1 = Polynomial.from_mono(VariableSet(2, 2), ((1,), (0,)))\n"
+        "for s, euler in ((Stratum(1, 2, 2), True), (Stratum(1, 2, 2), False),\n"
+        "                 (Stratum(1, 1, 4), True)):\n"
+        "    out = {}\n"
+        "    try:\n"
+        "        _expand(out, s, euler, p1)\n"
+        "    except ArithmeticError as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('%r accepted, wrote %r' % (s, out))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "image claimed symmetric is not", "image claimed skew is not",
+        "image hits a stratum without matching content"]

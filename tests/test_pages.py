@@ -318,3 +318,35 @@ def test_truncation_below_one_is_rejected_under_O():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "truncation order 0 is below 1"
+
+
+def test_dimension_and_level_are_rejected_under_O():
+    import artifact
+    code = (
+        "from artifact.pages import (e2_ranks, generator_classes,\n"
+        "    verify_generators, chain_check, collapse_check, closed_form)\n"
+        "from artifact.actions import oracle_crosscheck\n"
+        "from artifact.e1 import column_series\n"
+        "calls = [lambda: e2_ranks(-2, 'inf', 10), lambda: e2_ranks(0, 'inf', 10),\n"
+        "         lambda: verify_generators(-1, 10), lambda: generator_classes(0, 10),\n"
+        "         lambda: chain_check(0, 3, 10), lambda: collapse_check(0, 10),\n"
+        "         lambda: oracle_crosscheck(0, 1, 10), lambda: column_series(0, 1, 10),\n"
+        "         lambda: oracle_crosscheck(4, 0, 10), lambda: oracle_crosscheck(4, -1, 10)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('accepted')\n"
+        "assert closed_form(0, 'inf', 10) is None\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "dimension difference -2 is below 1", "dimension difference 0 is below 1",
+        "dimension difference -1 is below 1"] + \
+        ["dimension difference 0 is below 1"] * 5 + \
+        ["level 0 is below 1", "level -1 is below 0"]

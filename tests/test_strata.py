@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from artifact.grading import FULL, SYM, SKEW
 from artifact.strata import (
-    Stratum, enumerate_strata, euler_available,
+    Stratum, MINUS, enumerate_strata, euler_available,
     ContentPiece, column_content, content_series,
 )
 
@@ -36,6 +36,14 @@ def test_level3_d4_signs():
     names = [repr(s) for s in enumerate_strata(4, 3)]
     assert names == ["A_3^+(0,4)", "A_3^-(0,4)",
                      "A_3^+(1,3)", "A_3^-(1,3)", "A_3(2,2)"]
+
+
+@given(st.integers(1, 12), st.integers(0, 8))
+@settings(max_examples=60)
+def test_strata_come_sorted_by_a_then_sign(d, level):
+    # the order every report and basis follows: a ascending, + before -
+    keys = [(s.a, s.sign == MINUS) for s in enumerate_strata(d, level)]
+    assert keys == sorted(set(keys))
 
 
 def test_even_levels_have_no_signs():
