@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .grading import VariableSet, FlavoredSpace, FULL, SYM, SKEW, Series, space_series
+from .grading import VariableSet, FlavoredSpace, FULL, SYM, SKEW, space_series
 from .actions import oracle_crosscheck
 from .e1 import column_series
 from .pages import (
@@ -48,7 +48,7 @@ def _parse_space(text, D):
             d = int(rest)
             if d < 1:
                 raise ValueError
-            return Series.ring([4 * (i + 1) for i in range(d // 2)], D)
+            return space_series(FlavoredSpace.single(d), D)
         flavor = _FLAVORS[kind]
         a, b = (int(x) for x in rest.split(","))
         if a < 0 or b < 0:

@@ -211,6 +211,23 @@ def differential(d, el):
     return d_odd_col(d, el)
 
 
+def apply_differential(d, vec):
+    """The differential of an integer combination {BasisElement: int}.
+
+    Terms that cancel are dropped, so the image is {} exactly when it is
+    zero.
+    """
+    out = {}
+    for el, c in vec.items():
+        for tel, tc in differential(d, el).items():
+            v = out.get(tel, 0) + c * tc
+            if v:
+                out[tel] = v
+            else:
+                del out[tel]
+    return out
+
+
 class LinearMap:
     """One differential as an integer matrix in the indexed bases.
 
@@ -228,26 +245,6 @@ class LinearMap:
     def rank(self):
         from .linalg import rank
         return rank(self.cols)
-
-    def is_zero(self):
-        return all(not c for c in self.cols)
-
-    def compose(self, other):
-        """self after other; other's target basis must be self's source."""
-        assert other.target.column == self.source.column
-        assert other.target.degree == self.source.degree
-        cols = []
-        for col in other.cols:
-            acc = {}
-            for i, v in col.items():
-                for t, w in self.cols[i].items():
-                    nv = acc.get(t, 0) + v * w
-                    if nv:
-                        acc[t] = nv
-                    else:
-                        del acc[t]
-            cols.append(acc)
-        return LinearMap(other.source, self.target, cols)
 
     def __repr__(self):
         return "LinearMap(%d x %d, k=%d -> %d, n=%d -> %d)" % (

@@ -15,7 +15,7 @@ truncation order.
 
 from math import comb
 
-from .grading import Series
+from .grading import Series, FlavoredSpace, space_series
 from .pages import e2_ranks
 
 
@@ -75,4 +75,4 @@ def mmm_subseries(d, D):
     4, 8, ..., 4*floor(d/2) for every d, hence is independent of the
     truncation order.
     """
-    return Series.ring([4 * (i + 1) for i in range(d // 2)], D)
+    return space_series(FlavoredSpace.single(d), D)

@@ -11,12 +11,13 @@ Summing over columns gives the total cohomology rank series, which is
 compared coefficient by coefficient against the closed-form series
 encoded per residue of d.
 
-The grid and the chain check walk each diagonal n - k = c with the
-column ascending.  The target basis of the map out of (k, n) is the
-source basis of the map out of (k + 1, n + 1), so each step hands it on
-instead of enumerating it again, and only two bases are alive at once.
-The grid grows in D and is never rebuilt: a request with a larger max
-degree builds only the cells the cached grid lacks.
+The grid walks each diagonal n - k = c with the column ascending.  The
+target basis of the map out of (k, n) is the source basis of the map
+out of (k + 1, n + 1), so each step hands it on instead of enumerating
+it again, and only two bases are alive at once.  The grid grows in D
+and is never rebuilt: a request with a larger max degree builds only
+the cells the cached grid lacks.  The chain check builds no matrices:
+it applies the differential twice to each basis element.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
@@ -33,8 +34,8 @@ from .grading import (
 from .strata import enumerate_strata
 from .e1 import BasisElement, build_basis, _piece_monomials
 from .differentials import (
-    differential, assemble_matrix, restriction_expansion, element_poly,
-    _piece_for,
+    differential, apply_differential, assemble_matrix, restriction_expansion,
+    element_poly, _piece_for,
 )
 from .linalg import rank
 
@@ -149,7 +150,7 @@ def e2_ranks(d, R, D):
             if size == 0:
                 continue
             out_rank = 0 if (Rn is not None and k == Rn) else ranks.get((k, n), 0)
-            im_in = ranks.get((k - 1, n - 1), 0) if k >= 1 and n >= 1 else 0
+            im_in = ranks.get((k - 1, n - 1), 0)
             ker = size - out_rank
             e2 = ker - im_in
             if e2 < 0:
@@ -388,18 +389,7 @@ def verify_generators(d, D):
     """
     _, sizes, ranks = _grid(d, D)
     classes = generator_classes(d, D)
-    bad_kernel = 0
-    for cl in classes:
-        acc = {}
-        for el, c in cl.expansion.items():
-            for tel, tc in differential(d, el).items():
-                v = acc.get(tel, 0) + c * tc
-                if v:
-                    acc[tel] = v
-                else:
-                    del acc[tel]
-        if acc:
-            bad_kernel += 1
+    bad_kernel = sum(1 for cl in classes if apply_differential(d, cl.expansion))
     entries = [("generators: all classes lie in ker d1", bad_kernel == 0,
                 "" if bad_kernel == 0 else
                 "%d classes, %d failures" % (len(classes), bad_kernel))]
@@ -407,25 +397,23 @@ def verify_generators(d, D):
     by_deg = defaultdict(list)
     for cl in classes:
         by_deg[cl.degree].append(cl)
-    degrees = range(D + 1)
     sigma_ok = True
     span_bad = None
-    for n in degrees:
-        A = assemble_matrix(d, 0, n - 1) if n >= 1 else None
-        image_rows = [col for col in A.cols if col] if A is not None else []
-        basis1 = A.target if A is not None else build_basis(d, 1, n)
+    for n in range(D + 1):
+        # d0 is zero for odd d (column 0 has no Euler piece), so its
+        # image rows are empty there; the grid already holds their rank
+        A = assemble_matrix(d, 0, n - 1)
+        image_rows = [col for col in A.cols if col]
+        im = ranks.get((0, n - 1), 0)
         vecs = {"sigma": [], "rest": []}
         for cl in by_deg.get(n, []):
-            vec = {basis1.position(el): c for el, c in cl.expansion.items()}
+            vec = {A.target.position(el): c for el, c in cl.expansion.items()}
             key = "sigma" if (d % 2 == 0 and cl.kind == "sigma") else "rest"
             vecs[key].append(vec)
-        if d % 2 == 0 and vecs["sigma"]:
-            if rank(image_rows + vecs["sigma"]) != rank(image_rows):
-                sigma_ok = False
-        base = image_rows if d % 2 == 0 else []
-        got = rank(base + vecs["rest"]) - rank(base)
-        e2 = sizes.get((1, n), 0) - ranks.get((1, n), 0) - \
-            (ranks.get((0, n - 1), 0) if n >= 1 else 0)
+        if vecs["sigma"] and rank(image_rows + vecs["sigma"]) != im:
+            sigma_ok = False
+        got = rank(image_rows + vecs["rest"]) - im
+        e2 = sizes.get((1, n), 0) - ranks.get((1, n), 0) - im
         if got != e2 and span_bad is None:
             span_bad = (n, got, e2)
     if d % 2 == 0:
@@ -439,22 +427,11 @@ def verify_generators(d, D):
 
 def chain_check(d, kmax, D):
     """d(d(x)) = 0 out of columns 0..kmax in every degree below D."""
-    bad = None
-    # walk each diagonal n - k = c upwards: the second factor at (k, n)
-    # is the first factor at (k + 1, n + 1); the first failure in
-    # (column, degree) order is the smallest one over all diagonals
-    for c in range(-kmax, D):
-        A = None
-        for k, n in _diagonal(kmax, D - 1, c):
-            if bad is not None and (k, n) > bad:
-                break
-            if A is None:
-                A = assemble_matrix(d, k, n)
-            B = assemble_matrix(d, k + 1, n + 1, source=A.target)
-            if A.source.elements and not B.compose(A).is_zero():
-                bad = (k, n)
-                break
-            A = B
+    # column outer, degree inner: the first failing cell is the
+    # smallest in (column, degree) order
+    bad = next(((k, n) for k in range(kmax + 1) for n in range(D)
+                if any(apply_differential(d, differential(d, el))
+                       for el in build_basis(d, k, n))), None)
     return CheckReport("chain check d=%d, D=%d" % (d, D), [(
         "chain condition d(d(x)) = 0", bad is None,
         "" if bad is None else "column %d degree %d" % bad)])
@@ -462,14 +439,16 @@ def chain_check(d, kmax, D):
 
 def collapse_check(d, D, kmin=2, kmax=5):
     """kernel = image in columns kmin..kmax, i.e. the sequence collapses."""
-    assert max(1, D - d) >= kmax, "truncation too small to populate the grid"
+    if max(1, D - d) < kmax:
+        raise ValueError("collapse check up to column %d needs max degree "
+                         "%d or more, got %d" % (kmax, d + kmax, D))
     _, sizes, ranks = _grid(d, D)
     entries = []
     for k in range(kmin, kmax + 1):
         bad = None
         for n in range(D + 1):
             ker = sizes.get((k, n), 0) - ranks.get((k, n), 0)
-            im = ranks.get((k - 1, n - 1), 0) if n >= 1 else 0
+            im = ranks.get((k - 1, n - 1), 0)
             if ker != im:
                 bad = (n, ker, im)
                 break

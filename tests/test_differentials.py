@@ -13,7 +13,7 @@ from artifact.strata import Stratum
 from artifact.e1 import build_basis
 from artifact.differentials import (
     fold_sign, COVER_FACTOR, element_poly, d0, d_fold,
-    differential, LinearMap, assemble_matrix, _expand,
+    differential, apply_differential, assemble_matrix, _expand,
 )
 
 
@@ -166,23 +166,11 @@ class TestMatrices:
         assert M.cols == [{}, {0: 1, 1: -1, 2: 1}]
         assert M.rank() == 1
 
-    def test_compose_is_zero_sample(self):
-        for k in (0, 1, 2, 3):
-            for n in range(4, 16):
-                A = assemble_matrix(4, k, n)
-                if not A.source.elements:
-                    continue
-                B = assemble_matrix(4, k + 1, n + 1)
-                assert B.compose(A).is_zero(), (k, n)
-
-    @given(st.integers(3, 6), st.integers(0, 3), st.integers(4, 14))
+    @given(st.integers(1, 9), st.integers(0, 5), st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
     def test_chain_condition_sampled(self, d, k, n):
-        A = assemble_matrix(d, k, n)
-        if not A.source.elements:
-            return
-        B = assemble_matrix(d, k + 1, n + 1)
-        assert B.compose(A).is_zero()
+        for el in build_basis(d, k, n):
+            assert apply_differential(d, differential(d, el)) == {}, el
 
     @given(st.integers(3, 6), st.integers(0, 4), st.integers(4, 14))
     @settings(max_examples=40, deadline=None)
@@ -193,8 +181,10 @@ class TestMatrices:
                 assert type(v) is int and v != 0
 
     def test_rank_zero_map(self):
+        # column 0 has no Euler piece for odd d, so d0 kills it
         M = assemble_matrix(5, 0, 8)
-        assert M.is_zero() and M.rank() == 0
+        assert M.source.elements and all(not col for col in M.cols)
+        assert M.rank() == 0
 
 
 def test_expand_guards_survive_O():

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import types
 from fractions import Fraction
 
 import pytest
@@ -124,6 +123,27 @@ def test_collapse(d):
     assert col.ok, "\n".join(col.lines())
 
 
+def test_collapse_check_rejects_absent_columns_under_O():
+    # at D = 8 the grid of d = 6 stops at column 2, so columns 3..5
+    # would read as exact from ranks that were never computed
+    import artifact
+    code = (
+        "from artifact.pages import collapse_check\n"
+        "try:\n"
+        "    collapse_check(6, 8)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+        "else:\n"
+        "    raise SystemExit('absent columns accepted')\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "collapse check up to column 5 needs max degree 11 or more, got 8"
+
+
 def test_chain_check_names_first_failure(monkeypatch):
     assert chain_check(4, 4, 20).ok
     monkeypatch.setattr(differentials, "fold_sign", lambda a: 1)
@@ -133,21 +153,14 @@ def test_chain_check_names_first_failure(monkeypatch):
 
 
 def test_chain_check_reports_smallest_failure_across_diagonals(monkeypatch):
-    # failures on three diagonals, met in the walk in the reverse of
-    # (column, degree) order; the report must still name the smallest
+    # failures on three diagonals; a walk with the degree outermost
+    # would meet (3, 1) first, but the report must name the smallest
+    # in (column, degree) order
     failing = {(3, 1), (2, 3), (1, 9), (1, 12)}
-
-    class Map:
-        def __init__(self, k, n):
-            self.cell = (k, n)
-            self.source = self.target = types.SimpleNamespace(elements=[1])
-
-        def compose(self, first):
-            return types.SimpleNamespace(
-                is_zero=lambda: first.cell not in failing)
-
-    monkeypatch.setattr(pages, "assemble_matrix",
-                        lambda d, k, n, source=None: Map(k, n))
+    monkeypatch.setattr(pages, "build_basis", lambda d, k, n: [(k, n)])
+    monkeypatch.setattr(pages, "differential", lambda d, cell: cell)
+    monkeypatch.setattr(pages, "apply_differential",
+                        lambda d, cell: {cell: 1} if cell in failing else {})
     assert chain_check(4, 4, 20).entries[0][2] == "column 1 degree 9"
 
 
@@ -181,10 +194,10 @@ def test_generator_degrees_within_bound():
         assert cl.expansion
 
 
-@given(st.integers(3, 6), st.integers(1, 4))
+@given(st.integers(1, 9), st.integers(0, 30), st.integers(1, 4))
 @settings(max_examples=12, deadline=None)
-def test_e2_never_negative(d, R):
-    rep = e2_ranks(d, R, 14)
+def test_e2_never_negative(d, D, R):
+    rep = e2_ranks(d, R, D)
     for cell in rep.cells.values():
         assert cell.e2_rank >= 0
         assert cell.kernel_rank >= cell.image_rank_from_left
