@@ -17,12 +17,14 @@ independent route to the content rules hard-coded in strata.py, and the
 crosscheck between the two is part of the acceptance suite.
 """
 
+from collections import namedtuple
+
 from .grading import Series, enumerate_monomials, mono_swap
 from .strata import enumerate_strata, content_series
 from .pages import CheckReport
 
 
-class ActionGen:
+class ActionGen(namedtuple("ActionGen", "exchange su_a su_b su_k se_a se_b")):
     """A signed symbol substitution.
 
     With exchange set, U_a maps to su_a * U_b and U_b to su_b * U_a
@@ -31,27 +33,7 @@ class ActionGen:
     su_k is the sign on the extra Thom factor of levels >= 2.
     """
 
-    __slots__ = ("exchange", "su_a", "su_b", "su_k", "se_a", "se_b")
-
-    def __init__(self, exchange, su_a, su_b, su_k, se_a, se_b):
-        self.exchange = exchange
-        self.su_a = su_a
-        self.su_b = su_b
-        self.su_k = su_k
-        self.se_a = se_a
-        self.se_b = se_b
-
-    def encode(self):
-        return (self.exchange, self.su_a, self.su_b, self.su_k, self.se_a, self.se_b)
-
-    def __eq__(self, other):
-        return isinstance(other, ActionGen) and self.encode() == other.encode()
-
-    def __hash__(self):
-        return hash(self.encode())
-
-    def __repr__(self):
-        return "ActionGen%r" % (self.encode(),)
+    __slots__ = ()
 
 
 IDENTITY = ActionGen(False, 1, 1, 1, 1, 1)
@@ -82,7 +64,7 @@ def group_closure(gens):
                     items.add(gh)
                     changed = True
     assert len(items) <= 4
-    return sorted(items, key=ActionGen.encode)
+    return sorted(items)
 
 
 def symmetry_action(s):

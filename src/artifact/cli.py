@@ -2,12 +2,16 @@
 
 Verbs: series, e1, e2, generators, oracle, verify, loopspace.  Output
 is byte-deterministic for fixed arguments; --format picks table (plain
-lines, series as comma-joined coefficients), csv (degree,value rows),
-or json (a single object with dim, r, max_degree, series, report).
-Exit code 0 means success, 1 a verification mismatch, 2 a usage error.
+lines, series as comma-joined coefficients), csv (degree,value rows, or
+report rows with a field quoted when it holds a comma), or json (a
+single object with dim, r, max_degree, series, report).  Exit code 0
+means success, 1 a verification mismatch, 2 a usage error, including an
+--out file that cannot be written.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -214,8 +218,11 @@ def _render(args, res):
     if fmt == "csv":
         if res.series is not None:
             return "\n".join("%d,%d" % (n, v) for n, v in enumerate(res.series))
-        return "\n".join(",".join(str(v) for v in row.values())
-                         for row in res.report or [])
+        # report fields such as stratum names and check details hold commas
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [str(v) for v in row.values()] for row in res.report or [])
+        return buf.getvalue().rstrip("\n")
     payload = {
         "dim": getattr(args, "dim", None),
         "r": getattr(args, "r", None),
@@ -236,8 +243,12 @@ def main(argv=None):
         return 2
     text = _render(args, res)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        try:
+            with open(args.out, "w") as f:
+                f.write(text + "\n")
+        except OSError as e:
+            print("error: %s" % e, file=sys.stderr)
+            return 2
     else:
         print(text)
     return res.exit

@@ -31,7 +31,8 @@ or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 """
 
 from .grading import (
-    VariableSet, Polynomial, mono_swap, swap, restrict, s_hom, FULL, SYM,
+    VariableSet, Polynomial, mono_swap, swap, restrict, s_hom, is_orbit_rep,
+    FULL, SYM, SKEW,
 )
 from .strata import Stratum, column_content, PLUS, MINUS
 from .e1 import BasisElement, build_basis
@@ -79,19 +80,13 @@ def _expand(out, s, euler, poly, coef=1):
     piece = _piece_for(s, euler)
     if piece is None:
         raise ArithmeticError("image hits a stratum without matching content")
-    if piece.flavor == FULL:
-        items = poly.terms.items()
-    else:
-        sp = swap(poly)
-        if piece.flavor == SYM:
-            if sp != poly:
-                raise ArithmeticError("image claimed symmetric is not")
-            items = [(m, c) for m, c in poly.terms.items() if m[1] <= m[0]]
-        else:
-            if sp != -poly:
-                raise ArithmeticError("image claimed skew is not")
-            items = [(m, c) for m, c in poly.terms.items() if m[1] < m[0]]
-    for m, c in items:
+    if piece.flavor == SYM and swap(poly) != poly:
+        raise ArithmeticError("image claimed symmetric is not")
+    if piece.flavor == SKEW and swap(poly) != -poly:
+        raise ArithmeticError("image claimed skew is not")
+    for m, c in poly.terms.items():
+        if not is_orbit_rep(piece.flavor, m):
+            continue
         el = BasisElement(s, piece, m)
         v = out.get(el, 0) + coef * c
         if v:

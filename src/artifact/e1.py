@@ -7,26 +7,21 @@ take every monomial, symmetric pieces one representative per swap
 orbit (standing for the integer orbit sum m + swap(m), or m itself
 when fixed), skew pieces one representative per free orbit (standing
 for m - swap(m)).  This normalization keeps every differential matrix
-entry an integer.
+entry an integer.  A basis element is a value, the named tuple
+(stratum, piece, monomial), and compares and hashes by those fields.
 
 Bases are deterministically ordered by stratum, then piece (Euler-free
 first), then monomial.
 """
 
-from .grading import (
-    Series, enumerate_monomials, sym_reps, skew_reps,
-    mono_degree, mono_str, FULL, SYM, SKEW,
-)
+from collections import namedtuple
+
+from .grading import Series, orbit_reps, mono_degree, mono_str
 from .strata import enumerate_strata, column_content, content_series
 
 
-class BasisElement:
-    __slots__ = ("stratum", "piece", "mono")
-
-    def __init__(self, stratum, piece, mono):
-        self.stratum = stratum
-        self.piece = piece
-        self.mono = mono
+class BasisElement(namedtuple("BasisElement", "stratum piece mono")):
+    __slots__ = ()
 
     @property
     def degree(self):
@@ -35,15 +30,6 @@ class BasisElement:
         if self.piece.euler:
             d += s.euler_degree
         return d
-
-    def _ident(self):
-        return (self.stratum, self.piece.euler, self.mono)
-
-    def __eq__(self, other):
-        return isinstance(other, BasisElement) and self._ident() == other._ident()
-
-    def __hash__(self):
-        return hash(self._ident())
 
     def __repr__(self):
         s = self.stratum
@@ -85,24 +71,13 @@ class IndexedBasis:
             self.d, self.column, self.degree, len(self.elements))
 
 
-def _piece_monomials(s, piece, md):
-    if md < 0:
-        return []
-    if piece.flavor == FULL:
-        return enumerate_monomials(s.vars, md)
-    if piece.flavor == SYM:
-        return sym_reps(s.vars, md)
-    assert piece.flavor == SKEW
-    return skew_reps(s.vars, md)
-
-
 def build_basis(d, k, n):
     """The ordered basis of column k in total degree n."""
     elements = []
     for s in enumerate_strata(d, k):
         for piece in column_content(s):
             md = n - s.thom_degree - (s.euler_degree if piece.euler else 0)
-            for m in _piece_monomials(s, piece, md):
+            for m in orbit_reps(piece.space(s), md):
                 elements.append(BasisElement(s, piece, m))
     return IndexedBasis(d, k, n, elements)
 

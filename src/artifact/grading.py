@@ -14,29 +14,27 @@ All arithmetic is exact: polynomial and series coefficients are int.
 Every map the engine applies (Whitney splitting, restriction, swap,
 the attaching signs) has integer coefficients, so Polynomial admits
 int coefficients only and raises TypeError on anything else.
+
+VariableSet and FlavoredSpace are values: named tuples that compare and
+hash by their fields.  The swap-orbit representative rule of the
+symmetric and skew flavors is stated once, in is_orbit_rep.
 """
 
+from collections import namedtuple
 
-class VariableSet:
+
+class VariableSet(namedtuple("VariableSet", "a b na nb")):
     """Variable ranges of P(a, b): floor(a/2) unprimed, floor(b/2) primed."""
 
-    __slots__ = ("a", "b", "na", "nb")
+    __slots__ = ()
 
-    def __init__(self, a, b):
+    def __new__(cls, a, b):
         assert a >= 0 and b >= 0
-        self.a = a
-        self.b = b
-        self.na = a // 2
-        self.nb = b // 2
+        return tuple.__new__(cls, (a, b, a // 2, b // 2))
 
-    def __eq__(self, other):
-        return isinstance(other, VariableSet) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((VariableSet, self.a, self.b))
-
-    def __repr__(self):
-        return "VariableSet(%d, %d)" % (self.a, self.b)
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, which takes (a, b)
+        return (self.a, self.b)
 
     def square(self):
         return self.na == self.nb
@@ -96,15 +94,11 @@ def enumerate_monomials(vs, degree):
     """All monomials of P(a, b) of the given degree, in mono_key order."""
     if degree < 0 or degree % 4 != 0:
         return []
-    out = []
-    wu = [4 * (i + 1) for i in range(vs.na)]
-    wp = [4 * (j + 1) for j in range(vs.nb)]
-    for dp in range(0, degree + 1, 4):
-        for fs in _exponent_tuples(wp, dp):
-            for es in _exponent_tuples(wu, degree - dp):
-                out.append((es, fs))
-    out.sort(key=mono_key)
-    return out
+    # within one degree mono_key compares (fs, es), the lexicographic
+    # order in which _exponent_tuples yields the primed weights first
+    weights = [4 * (j + 1) for j in range(vs.nb)] + [4 * (i + 1) for i in range(vs.na)]
+    nb = vs.nb
+    return [(t[nb:], t[:nb]) for t in _exponent_tuples(weights, degree)]
 
 
 def mono_str(m, primes=True):
@@ -345,32 +339,21 @@ class Series:
 FULL, SYM, SKEW = "full", "sym", "skew"
 
 
-class FlavoredSpace:
+class FlavoredSpace(namedtuple("FlavoredSpace", "vars flavor")):
     """A graded piece of stratum content: P(a, b), or its swap eigenspace."""
 
-    __slots__ = ("vars", "flavor")
+    __slots__ = ()
 
-    def __init__(self, vs, flavor):
+    def __new__(cls, vs, flavor):
         assert flavor in (FULL, SYM, SKEW)
         if flavor in (SYM, SKEW):
             assert vs.square()
-        self.vars = vs
-        self.flavor = flavor
+        return tuple.__new__(cls, (vs, flavor))
 
     @classmethod
     def single(cls, d):
         """Q[p_1 .. p_{floor(d/2)}], the Pontryagin ring of BSO_d."""
         return cls(VariableSet(d, 0), FULL)
-
-    def __eq__(self, other):
-        return isinstance(other, FlavoredSpace) and self.vars == other.vars \
-            and self.flavor == other.flavor
-
-    def __hash__(self):
-        return hash((FlavoredSpace, self.vars, self.flavor))
-
-    def __repr__(self):
-        return "FlavoredSpace(%r, %s)" % (self.vars, self.flavor)
 
 
 def space_series(space, D):
@@ -391,11 +374,22 @@ def space_series(space, D):
     return Series([x // 2 for x in pair.c], D)
 
 
-def sym_reps(vs, degree):
-    """Orbit representatives spanning the symmetric part in one degree."""
-    return [m for m in enumerate_monomials(vs, degree) if m[1] <= m[0]]
+def is_orbit_rep(flavor, m):
+    """Whether monomial m stands for a basis vector of a space of this flavor.
+
+    FULL keeps every monomial.  SYM keeps one representative per swap
+    orbit, m[1] <= m[0], standing for m + swap m (m itself when fixed).
+    SKEW keeps the representative of each free orbit, m[1] < m[0],
+    standing for m - swap m.
+    """
+    if flavor == FULL:
+        return True
+    if flavor == SYM:
+        return m[1] <= m[0]
+    return m[1] < m[0]
 
 
-def skew_reps(vs, degree):
-    """Orbit representatives spanning the skew part in one degree."""
-    return [m for m in enumerate_monomials(vs, degree) if m[1] < m[0]]
+def orbit_reps(space, degree):
+    """The monomials standing for a basis of one degree of a flavored space."""
+    return [m for m in enumerate_monomials(space.vars, degree)
+            if is_orbit_rep(space.flavor, m)]

@@ -29,10 +29,10 @@ from collections import defaultdict
 
 from .grading import (
     VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
-    enumerate_monomials, skew_reps, space_series, s_hom, mono_swap,
+    enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
 )
 from .strata import enumerate_strata
-from .e1 import BasisElement, build_basis, _piece_monomials
+from .e1 import BasisElement, build_basis
 from .differentials import (
     differential, apply_differential, assemble_matrix, restriction_expansion,
     element_poly, _piece_for,
@@ -338,7 +338,7 @@ def generator_classes(d, D):
     d2 = (d + 1) // 2
     square = VariableSet(d2, d2)
     for md in range(0, D - fold + 1, 4):
-        for k in skew_reps(square, md):
+        for k in orbit_reps(FlavoredSpace(square, SKEW), md):
             q = Polynomial.from_mono(square, k) - Polynomial.from_mono(square, mono_swap(k))
             out.append(GeneratorClass("sigma", None, q, fold + md,
                                       restriction_expansion(d, d2, q)))
@@ -348,7 +348,7 @@ def generator_classes(d, D):
             continue
         kind, family = ("i_top", None) if s.a == s.b else ("i", s.a)
         for md in range(0, D - fold - s.euler_degree + 1, 4):
-            for m in _piece_monomials(s, piece, md):
+            for m in orbit_reps(piece.space(s), md):
                 el = BasisElement(s, piece, m)
                 out.append(GeneratorClass(kind, family, element_poly(el),
                                           el.degree, {el: 1}))

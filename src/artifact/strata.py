@@ -13,25 +13,27 @@ flavored pieces, each an (optional Euler class) times a full, symmetric,
 or skew polynomial space in the stratum's variables.  The flavor rules
 are reproduced independently, degree by degree, by the sign-action
 oracle in actions.py; the two routes are compared in the tests.
+
+Strata and content pieces are values: named tuples that compare and
+hash by their fields.
 """
+
+from collections import namedtuple
 
 from .grading import VariableSet, FlavoredSpace, FULL, SYM, SKEW, space_series
 
 PLUS, MINUS = 1, -1
 
 
-class Stratum:
-    __slots__ = ("level", "a", "b", "sign")
+class Stratum(namedtuple("Stratum", "level a b sign")):
+    __slots__ = ()
 
-    def __init__(self, level, a, b, sign=None):
+    def __new__(cls, level, a, b, sign=None):
         assert level >= 0
         assert sign in (None, PLUS, MINUS)
         if sign is not None:
             assert level >= 3 and level % 2 == 1 and a < b
-        self.level = level
-        self.a = a
-        self.b = b
-        self.sign = sign
+        return tuple.__new__(cls, (level, a, b, sign))
 
     @property
     def d(self):
@@ -58,14 +60,6 @@ class Stratum:
     def euler_degree(self):
         # e_{a,b} = e_a e_b, with e_0 = 1; for level 0 this is e_d
         return self.a + self.b
-
-    def __eq__(self, other):
-        return isinstance(other, Stratum) and \
-            (self.level, self.a, self.b, self.sign) == \
-            (other.level, other.a, other.b, other.sign)
-
-    def __hash__(self):
-        return hash((Stratum, self.level, self.a, self.b, self.sign))
 
     def __repr__(self):
         tag = {None: "", PLUS: "^+", MINUS: "^-"}[self.sign]
@@ -100,27 +94,13 @@ def euler_available(s):
     return s.a % 2 == 0 and s.b % 2 == 0
 
 
-class ContentPiece:
+class ContentPiece(namedtuple("ContentPiece", "euler flavor")):
     """One flavored summand of a stratum's first-page content."""
 
-    __slots__ = ("euler", "flavor")
-
-    def __init__(self, euler, flavor):
-        self.euler = euler
-        self.flavor = flavor
+    __slots__ = ()
 
     def space(self, s):
         return FlavoredSpace(s.vars, self.flavor)
-
-    def __eq__(self, other):
-        return isinstance(other, ContentPiece) and \
-            (self.euler, self.flavor) == (other.euler, other.flavor)
-
-    def __hash__(self):
-        return hash((ContentPiece, self.euler, self.flavor))
-
-    def __repr__(self):
-        return "ContentPiece(%s%s)" % ("e." if self.euler else "", self.flavor)
 
 
 def column_content(s):

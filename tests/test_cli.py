@@ -1,5 +1,7 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -163,6 +165,28 @@ def test_out_flag(tmp_path, capsys):
                       "--max-degree", "8", "--out", str(path))
     assert code == 0
     assert path.read_text().strip() == "1,0,0,0,2,0,0,0,3"
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x"
+    code = main(["e2", "--dim", "4", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--dim", "4", "--level", "2"],
+    ["verify", "--dim", "8", "--max-degree", "30"],
+])
+def test_csv_report_rows_parse_as_three_fields(capsys, argv):
+    # stratum names like A_2(1,3) and the span FAIL detail hold commas
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == 3 for row in rows)
+    assert any("," in field for row in rows for field in row)
 
 
 def test_byte_determinism(capsys):

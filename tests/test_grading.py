@@ -12,13 +12,27 @@ from artifact.grading import (
     VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
     mono_one, mono_degree, mono_mul, mono_swap, mono_key,
     enumerate_monomials, mono_str, swap, restrict, s_hom,
-    space_series, sym_reps, skew_reps,
+    space_series, orbit_reps,
 )
 
 
 small_vs = st.builds(VariableSet, st.integers(0, 7), st.integers(0, 7))
 square_vs = st.integers(0, 7).map(lambda a: VariableSet(a, a))
 degrees = st.sampled_from([0, 4, 8, 12, 16])
+
+
+def _monomials_by_products(vs, degree):
+    # every monomial of degree n > 0 is a variable times a monomial of
+    # degree n - deg(variable), so the products reach every exponent tuple
+    units = [((tuple(int(t == i) for t in range(vs.na)), (0,) * vs.nb), 4 * (i + 1))
+             for i in range(vs.na)]
+    units += [(((0,) * vs.na, tuple(int(t == j) for t in range(vs.nb))), 4 * (j + 1))
+              for j in range(vs.nb)]
+    by_degree = {0: {mono_one(vs)}}
+    for n in range(4, degree + 1, 4):
+        by_degree[n] = {mono_mul(u, m) for u, w in units if w <= n
+                        for m in by_degree[n - w]}
+    return by_degree.get(degree, set())
 
 
 def _monos(vs_strategy):
@@ -49,6 +63,14 @@ class TestMonomials:
     def test_enumerate_odd_degree_empty(self):
         assert enumerate_monomials(VariableSet(2, 3), 6) == []
         assert enumerate_monomials(VariableSet(2, 3), 5) == []
+
+    @given(st.integers(0, 13), st.integers(0, 13), st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_enumerate_matches_brute_force(self, a, b, degree):
+        vs = VariableSet(a, b)
+        got = enumerate_monomials(vs, degree)
+        assert len(set(got)) == len(got)
+        assert got == sorted(_monomials_by_products(vs, degree), key=mono_key)
 
     def test_enumerate_counts_match_series(self):
         vs = VariableSet(3, 2)
@@ -262,8 +284,8 @@ class TestFlavoredSpaces:
     def test_rep_counts_match_series(self, vs, n):
         sym = space_series(FlavoredSpace(vs, SYM), n)
         skew = space_series(FlavoredSpace(vs, SKEW), n)
-        assert len(sym_reps(vs, n)) == sym[n]
-        assert len(skew_reps(vs, n)) == skew[n]
+        assert len(orbit_reps(FlavoredSpace(vs, SYM), n)) == sym[n]
+        assert len(orbit_reps(FlavoredSpace(vs, SKEW), n)) == skew[n]
 
     @given(square_vs, degrees)
     @settings(max_examples=40)
@@ -271,11 +293,11 @@ class TestFlavoredSpaces:
         # each rep m spans via m + swap(m) or m - swap(m); the rep lists
         # must pick exactly one monomial from each two-element orbit and
         # every fixed monomial for sym, none for skew
-        for m in sym_reps(vs, n):
+        for m in orbit_reps(FlavoredSpace(vs, SYM), n):
             assert mono_key(m) <= mono_key(mono_swap(m))
-        for m in skew_reps(vs, n):
+        for m in orbit_reps(FlavoredSpace(vs, SKEW), n):
             assert mono_key(m) < mono_key(mono_swap(m))
         fixed = [m for m in enumerate_monomials(vs, n) if mono_swap(m) == m]
         orbits = (len(enumerate_monomials(vs, n)) - len(fixed)) // 2
-        assert len(sym_reps(vs, n)) == orbits + len(fixed)
-        assert len(skew_reps(vs, n)) == orbits
+        assert len(orbit_reps(FlavoredSpace(vs, SYM), n)) == orbits + len(fixed)
+        assert len(orbit_reps(FlavoredSpace(vs, SKEW), n)) == orbits

@@ -1,10 +1,15 @@
 """Stratum bookkeeping: enumeration, Euler availability, content pieces."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.grading import FULL, SYM, SKEW
+from artifact.grading import VariableSet, FlavoredSpace, FULL, SYM, SKEW
+from artifact.actions import ActionGen
+from artifact.e1 import BasisElement
 from artifact.strata import (
     Stratum, MINUS, enumerate_strata, euler_available,
     ContentPiece, column_content, content_series,
@@ -160,3 +165,29 @@ def test_content_series_includes_euler_shift():
     # plain piece from the Thom degree 4, Euler piece from 4 + 4
     assert [ser[n] for n in range(13)] == \
         [0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Stratum(2, 1, 3, MINUS),
+    lambda: VariableSet(-1, 2),
+    lambda: FlavoredSpace(VariableSet(2, 4), SYM),
+])
+def test_value_constructor_guards(build):
+    # a signed even-level stratum, a negative range, a symmetric flavor
+    # on a non-square variable set
+    with pytest.raises(AssertionError):
+        build()
+
+
+@pytest.mark.parametrize("value", [
+    VariableSet(2, 3),
+    FlavoredSpace(VariableSet(4, 4), SKEW),
+    Stratum(3, 1, 3, MINUS),
+    ContentPiece(True, SYM),
+    BasisElement(Stratum(1, 2, 3), ContentPiece(False, FULL), ((1,), (0,))),
+    ActionGen(True, -1, 1, 1, -1, 1),
+])
+def test_values_survive_copy_and_pickle(value):
+    assert copy.copy(value) == value
+    back = pickle.loads(pickle.dumps(value))
+    assert back == value and type(back) is type(value)
