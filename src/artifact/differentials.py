@@ -36,6 +36,7 @@ from .grading import (
 )
 from .strata import Stratum, column_content, PLUS, MINUS
 from .e1 import BasisElement, build_basis
+from .linalg import rank
 
 
 def fold_sign(a):
@@ -238,7 +239,6 @@ class LinearMap:
         self.cols = cols
 
     def rank(self):
-        from .linalg import rank
         return rank(self.cols)
 
     def __repr__(self):
@@ -248,21 +248,9 @@ class LinearMap:
             self.source.degree, self.target.degree)
 
 
-def assemble_matrix(d, k, n, source=None):
-    """Matrix of the differential out of column k, total degree n.
-
-    source, when given, is the already built basis of (k, n), typically
-    the target basis of the matrix out of (k - 1, n - 1); it is used
-    instead of building that basis again.
-    """
-    if source is None:
-        src = build_basis(d, k, n)
-    elif (source.d, source.column, source.degree) != (d, k, n):
-        raise ValueError(
-            "source basis is d=%d column %d degree %d, expected d=%d column %d "
-            "degree %d" % (source.d, source.column, source.degree, d, k, n))
-    else:
-        src = source
+def assemble_matrix(d, k, n):
+    """Matrix of the differential out of column k, total degree n."""
+    src = build_basis(d, k, n)
     tgt = build_basis(d, k + 1, n + 1)
     cols = []
     for el in src:

@@ -274,7 +274,8 @@ class Series:
     @classmethod
     def geom(cls, n, D):
         """1 / (1 - t^n)."""
-        assert n >= 1
+        if n < 1:
+            raise ValueError("generator degree %d is below 1" % n)
         c = [0] * (D + 1)
         for k in range(0, D + 1, n):
             c[k] = 1
@@ -290,24 +291,28 @@ class Series:
 
     def shift(self, k):
         """Multiply by t^k; the truncation bound moves up with the shift."""
-        assert k >= 0
+        if k < 0:
+            raise ValueError("shift %d is below 0" % k)
         return Series([0] * k + self.c, self.D + k)
 
     def tshift(self, k):
         """Multiply by t^k, keeping the truncation bound."""
-        assert k >= 0
-        return Series(([0] * k + self.c)[: self.D + 1], self.D)
+        return Series(self.shift(k).c, self.D)
+
+    def _same_D(self, other):
+        if self.D != other.D:
+            raise ValueError("series truncated at %d and %d" % (self.D, other.D))
 
     def __add__(self, other):
-        assert self.D == other.D
+        self._same_D(other)
         return Series([x + y for x, y in zip(self.c, other.c)], self.D)
 
     def __sub__(self, other):
-        assert self.D == other.D
+        self._same_D(other)
         return Series([x - y for x, y in zip(self.c, other.c)], self.D)
 
     def __mul__(self, other):
-        assert self.D == other.D
+        self._same_D(other)
         c = [0] * (self.D + 1)
         for i, x in enumerate(self.c):
             if not x:
@@ -326,7 +331,7 @@ class Series:
 
     def first_mismatch(self, other):
         """Smallest degree where the two series differ, or None."""
-        assert self.D == other.D
+        self._same_D(other)
         for n in range(self.D + 1):
             if self.c[n] != other.c[n]:
                 return n

@@ -20,7 +20,9 @@ hash by their fields.
 
 from collections import namedtuple
 
-from .grading import VariableSet, FlavoredSpace, FULL, SYM, SKEW, space_series
+from .grading import (
+    VariableSet, FlavoredSpace, Series, FULL, SYM, SKEW, space_series,
+)
 
 PLUS, MINUS = 1, -1
 
@@ -142,7 +144,6 @@ def column_content(s):
 
 def content_series(s, D):
     """Rank series of one stratum's content, Thom and Euler shifts included."""
-    from .grading import Series
     total = Series.zero(D)
     for piece in column_content(s):
         shift = s.thom_degree + (s.euler_degree if piece.euler else 0)

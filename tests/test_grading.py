@@ -245,6 +245,28 @@ class TestSeries:
         assert a.first_mismatch(b) == 2
         assert a.first_mismatch(a) is None
 
+    def test_bound_checks_raise_under_O(self):
+        # the counted ranks of columns >= 2 are Series arithmetic, so
+        # mismatched truncations and negative shifts must fail under -O
+        import artifact
+        code = (
+            "from artifact.grading import Series\n"
+            "a, b = Series([1, 2, 3, 4]), Series([5, 6])\n"
+            "for name, f in [('add', lambda: a + b), ('sub', lambda: a - b),\n"
+            "                ('mul', lambda: a * b), ('first_mismatch', lambda: b.first_mismatch(a)),\n"
+            "                ('shift', lambda: a.shift(-1)), ('tshift', lambda: a.tshift(-1)),\n"
+            "                ('geom', lambda: Series.geom(0, 4)), ('geom', lambda: Series.geom(-2, 4))]:\n"
+            "    try:\n"
+            "        f()\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit('%s accepted' % name)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=6),
            st.lists(st.integers(-3, 3), min_size=1, max_size=6))
     def test_mul_commutes(self, xs, ys):

@@ -144,6 +144,29 @@ def test_collapse_check_rejects_absent_columns_under_O():
         "collapse check up to column 5 needs max degree 11 or more, got 8"
 
 
+def test_collapse_check_catches_a_wrong_count(monkeypatch):
+    # the grid counts the ranks of columns >= 2; collapse_check
+    # assembles the cells it checks, so a count off by one fails there
+    real = pages._chain_ranks
+
+    def off_by_one(d, k, D):
+        ranks = real(d, k, D)
+        if k == 3:
+            ranks.c[15] += 1
+        return ranks
+
+    monkeypatch.setattr(pages, "_chain_ranks", off_by_one)
+    pages.clear_cache()
+    try:
+        rep = collapse_check(4, 20)
+    finally:
+        pages.clear_cache()
+    assert not rep.ok
+    assert rep.entries[0] == ("collapse column 2 exact", True, "")
+    assert rep.entries[1] == ("collapse column 3 exact", False,
+                              "degree 15: counted rank 3, assembled rank 2")
+
+
 def test_chain_check_names_first_failure(monkeypatch):
     assert chain_check(4, 4, 20).ok
     monkeypatch.setattr(differentials, "fold_sign", lambda a: 1)
@@ -216,8 +239,8 @@ def test_negative_e2_raises_under_O():
     # must survive -O; an overcounting rank trips it in the first cell
     import artifact
     code = (
-        "from artifact import linalg, pages\n"
-        "linalg.rank = lambda rows: len(rows) + 1\n"
+        "from artifact import differentials, pages\n"
+        "differentials.rank = lambda rows: len(rows) + 1\n"
         "try:\n"
         "    pages.e2_ranks(4, 'inf', 12)\n"
         "except ArithmeticError as e:\n"
@@ -260,9 +283,9 @@ def test_growing_the_grid_assembles_only_the_new_cells(monkeypatch):
     calls = []
     real = pages.assemble_matrix
 
-    def counting(d, k, n, source=None):
+    def counting(d, k, n):
         calls.append((d, k, n))
-        return real(d, k, n, source=source)
+        return real(d, k, n)
 
     monkeypatch.setattr(pages, "assemble_matrix", counting)
 
