@@ -11,10 +11,11 @@ Summing over columns gives the total cohomology rank series, which is
 compared coefficient by coefficient against the closed-form series
 encoded per residue of d.
 
-The grid assembles and eliminates only the maps out of columns 0 and 1;
-beyond the fold column every map is a sum of tiny blocks, and their
-ranks are counted (_chain_ranks).  The grid grows in D and is never
-rebuilt: a larger max degree assembles only the degrees the cache lacks.
+The grid assembles and eliminates only the map out of column 1.  The
+rank out of column 0 is its Euler count, certified by d0's rows on the
+fold stratum (0, d + 1); beyond the fold column every map is a sum of
+tiny blocks whose ranks _chain_ranks counts.  The grid grows in D and is
+never rebuilt: a larger max degree assembles only the new degrees.
 The chain check builds no matrices: it applies the differential twice
 to each basis element.
 
@@ -31,11 +32,11 @@ from .grading import (
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap, mono_one,
     is_orbit_rep,
 )
-from .strata import enumerate_strata, column_content
-from .e1 import BasisElement, build_basis, column_series
+from .strata import Stratum, enumerate_strata, column_content
+from .e1 import BasisElement, IndexedBasis, build_basis, column_series
 from .differentials import (
     differential, apply_differential, assemble_matrix, restriction_expansion,
-    element_poly, _piece_for,
+    element_poly, _piece_for, LinearMap,
 )
 from .linalg import rank
 
@@ -94,22 +95,33 @@ def _grid(d, D):
     D0, sizes, ranks = entry = _GRID.get(d, (-1, {}, {}))
     if D0 >= D:
         return entry
-    # columns 0 and 1 are assembled only in the degrees the cache
-    # lacks; every column k >= 2 is counted whole, which costs little
-    for k in (0, 1):
-        for n in range(D0 + 1, D + 1):
-            A = assemble_matrix(d, k, n)
-            if A.source.elements:
-                sizes[(k, n)] = len(A.source.elements)
-                ranks[(k, n)] = A.rank()
-    for k in range(2, D - d + 1):
-        for n, (size, rk) in enumerate(zip(column_series(d, k, D).c,
-                                           _chain_ranks(d, k, D).c)):
+    # column 1 is assembled only in the degrees the cache lacks
+    for n in range(D0 + 1, D + 1):
+        A = assemble_matrix(d, 1, n)
+        if A.source.elements:
+            sizes[(1, n)] = len(A.source.elements)
+            ranks[(1, n)] = A.rank()
+    # d0 kills the plain part of column 0, so its rank is at most the Euler
+    # count; its rows on the fold stratum (0, d + 1) reach it (p_i -> p'_i)
+    s, t = Stratum(0, d, 0), Stratum(1, 0, d + 1)
+    piece = _piece_for(s, True)  # None for odd d
+    euler = space_series(piece.space(s), D).tshift(d) if piece else Series.zero(D)
+    for n in range(D0 + 1, D + 1) if piece else ():
+        src = IndexedBasis(d, 0, n, [BasisElement(s, piece, m)
+                                     for m in orbit_reps(piece.space(s), n - d)])
+        tgt = IndexedBasis(d, 1, n + 1, [BasisElement(t, _piece_for(t, False), m)
+                                         for m in enumerate_monomials(t.vars, n - d)])
+        cols = [{tgt.position(tel): c for tel, c in restriction_expansion(
+            d, 0, s_hom(el.mono, t.vars)).items()} for el in src]
+        if LinearMap(src, tgt, cols).rank() != euler[n]:
+            raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
+    for k in [0, *range(2, D - d + 1)]:
+        counted = euler if k == 0 else _chain_ranks(d, k, D)
+        for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted.c)):
             if size:
                 sizes[(k, n)] = size
                 ranks[(k, n)] = rk
-    entry = (D, sizes, ranks)
-    _GRID[d] = entry
+    _GRID[d] = entry = (D, sizes, ranks)
     return entry
 
 

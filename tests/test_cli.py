@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from artifact import pages
 from artifact.actions import oracle_crosscheck
 from artifact.cli import main, build_parser
 from artifact.pages import (
@@ -108,6 +109,49 @@ def test_verify_even_dimension_fails_at_the_generator_span(capsys):
     assert out.splitlines()[-1] == (
         "FAIL generators: remaining classes span E2 column 1 "
         "(degree 17: classes give 0, page gives 1)")
+
+
+@pytest.fixture
+def fresh_grid():
+    pages.clear_cache()
+    yield
+    pages.clear_cache()
+
+
+_CHECKS_BEFORE_COLLAPSE = ["ok   oracle level %d" % level for level in range(1, 8)] + [
+    "ok   chain condition d(d(x)) = 0"]
+
+
+def test_verify_reports_a_negative_e2_after_the_collapse_entries(
+        capsys, monkeypatch, fresh_grid):
+    # counting fixed swap orbits as _S rather than _S - _A overcounts
+    # columns >= 2: the collapse check names the columns, and the
+    # e2 >= 0 guard that trips afterwards becomes one more FAIL entry
+    real_S, real_A = pages._S, pages._A
+    monkeypatch.setattr(pages, "_S",
+                        lambda a, b, D: real_S(a, b, D) + real_A(a, b, D))
+    code = main(["verify", "--dim", "4", "--max-degree", "40"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.splitlines() == _CHECKS_BEFORE_COLLAPSE + [
+        "ok   collapse column 2 exact",
+        "FAIL collapse column 3 exact (degree 15: counted rank 3, assembled rank 2)",
+        "FAIL collapse column 4 exact (degree 12: counted rank 4, assembled rank 3)",
+        "FAIL collapse column 5 exact (degree 13: kernel 3, image 4)",
+        "FAIL exactness guards hold (image exceeds kernel at column 4 degree 12)"]
+
+
+def test_verify_reports_a_short_d0_sub_block(capsys, monkeypatch, fresh_grid):
+    # the column-0 certificate raises from the grid, which the collapse
+    # check builds first; the checks before it keep their entries
+    real = pages.restriction_expansion
+    monkeypatch.setattr(pages, "restriction_expansion", lambda d, a_top, p: (
+        {} if a_top == 0 and list(p.terms) == [((), (0, 1))] else real(d, a_top, p)))
+    code = main(["verify", "--dim", "4", "--max-degree", "40"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.splitlines() == _CHECKS_BEFORE_COLLAPSE + [
+        "FAIL exactness guards hold (d0 sub-block is not of full rank at degree 12)"]
 
 
 def test_verify_json_rows_are_the_library_entries(capsys):

@@ -109,8 +109,9 @@ def test_split_rank_equals_unsplit_on_the_8_40_grid():
 
 @pytest.mark.parametrize("d", range(1, 17))
 def test_counted_grid_matches_per_cell_assembly(d):
-    # columns >= 2 are counted by block type; every cell's size and
-    # rank must equal those of the assembled matrix
+    # column 0 is counted from its Euler elements and columns >= 2 by
+    # block type; every cell's size and rank must equal those of the
+    # assembled matrix
     D = 40
     pages.clear_cache()
     _, sizes, ranks = pages._grid(d, D)
@@ -124,3 +125,16 @@ def test_counted_grid_matches_per_cell_assembly(d):
                 want_ranks[(k, n)] = A.rank()
     assert sizes == want_sizes
     assert ranks == want_ranks
+
+
+@pytest.mark.parametrize("d, D", [(12, 70), (14, 60)])
+def test_counted_column_0_matches_assembly_at_larger_sizes(d, D):
+    # the d0 cells are the largest the grid used to assemble; the Euler
+    # count must equal their rank well beyond D = 40
+    pages.clear_cache()
+    _, sizes, ranks = pages._grid(d, D)
+    pages.clear_cache()
+    for n in range(D + 1):
+        A = assemble_matrix(d, 0, n)
+        assert sizes.get((0, n), 0) == len(A.source.elements), n
+        assert ranks.get((0, n), 0) == A.rank(), n

@@ -236,11 +236,13 @@ def test_cache_survives_clearing():
 
 def test_negative_e2_raises_under_O():
     # the e2 >= 0 guard is what catches a rank that overcounts, so it
-    # must survive -O; an overcounting rank trips it in the first cell
+    # must survive -O; an overcounting rank of the one assembled column
+    # trips it in that column's first cell
     import artifact
     code = (
         "from artifact import differentials, pages\n"
-        "differentials.rank = lambda rows: len(rows) + 1\n"
+        "differentials.LinearMap.rank = lambda self: (\n"
+        "    len(self.cols) + (self.source.column == 1))\n"
         "try:\n"
         "    pages.e2_ranks(4, 'inf', 12)\n"
         "except ArithmeticError as e:\n"
@@ -252,7 +254,32 @@ def test_negative_e2_raises_under_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "image exceeds kernel at column 0 degree 0"
+    assert proc.stdout.strip() == "image exceeds kernel at column 1 degree 5"
+
+
+def test_short_d0_sub_block_raises_under_O():
+    # the counted rank of d0 is certified by its rows on the fold
+    # stratum (0, d + 1); emptying the row of e.p_2 (its image p'_2)
+    # must trip the certificate at degree 12, also under -O
+    import artifact
+    code = (
+        "from artifact import pages\n"
+        "real = pages.restriction_expansion\n"
+        "pages.restriction_expansion = lambda d, a_top, p: (\n"
+        "    {} if a_top == 0 and list(p.terms) == [((), (0, 1))]\n"
+        "    else real(d, a_top, p))\n"
+        "try:\n"
+        "    pages.e2_ranks(4, 'inf', 20)\n"
+        "except ArithmeticError as e:\n"
+        "    print(e)\n"
+        "else:\n"
+        "    raise SystemExit('short d0 sub-block accepted')\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "d0 sub-block is not of full rank at degree 12"
 
 
 def _snapshot(rep):
@@ -302,6 +329,8 @@ def test_growing_the_grid_assembles_only_the_new_cells(monkeypatch):
     grown = assembled(30, cold=False)
     assert grown and sorted(grown) == sorted(set(large) - set(small))
     assert assembled(25, 30, 12, cold=False) == []
+    # column 0 is counted, so the grid assembles only out of column 1
+    assert all(k == 1 for _, k, _ in small + large + grown)
 
 
 @pytest.mark.parametrize("R", [0, -1, "0"])
