@@ -18,9 +18,17 @@ int coefficients only and raises TypeError on anything else.
 VariableSet and FlavoredSpace are values: named tuples that compare and
 hash by their fields.  The swap-orbit representative rule of the
 symmetric and skew flavors is stated once, in is_orbit_rep.
+
+The kernels the generator labels and certificates lean on (s_hom,
+enumerate_monomials, mono_str and Polynomial printing) work on exponent
+tuples and plain dicts and build at most one Polynomial per call.  Bad
+arguments raise ValueError and the exactness guard in space_series
+raises ArithmeticError, so every check holds under python -O.
 """
 
 from collections import namedtuple
+from itertools import count
+from operator import mul
 
 
 class VariableSet(namedtuple("VariableSet", "a b na nb")):
@@ -29,7 +37,8 @@ class VariableSet(namedtuple("VariableSet", "a b na nb")):
     __slots__ = ()
 
     def __new__(cls, a, b):
-        assert a >= 0 and b >= 0
+        if a < 0 or b < 0:
+            raise ValueError("variable set (%r, %r) has a negative rank" % (a, b))
         return tuple.__new__(cls, (a, b, a // 2, b // 2))
 
     def __getnewargs__(self):
@@ -50,20 +59,21 @@ def mono_one(vs):
 
 def mono_degree(m):
     es, fs = m
-    return 4 * sum((i + 1) * e for i, e in enumerate(es)) + \
-           4 * sum((j + 1) * f for j, f in enumerate(fs))
+    return 4 * (sum(map(mul, es, count(1))) + sum(map(mul, fs, count(1))))
 
 
 def mono_mul(m1, m2):
     (e1, f1), (e2, f2) = m1, m2
-    assert len(e1) == len(e2) and len(f1) == len(f2)
+    if len(e1) != len(e2) or len(f1) != len(f2):
+        raise ValueError("monomials of different variable sets")
     return (tuple(x + y for x, y in zip(e1, e2)),
             tuple(x + y for x, y in zip(f1, f2)))
 
 
 def mono_swap(m):
     es, fs = m
-    assert len(es) == len(fs), "swap needs a square variable set"
+    if len(es) != len(fs):
+        raise ValueError("swap needs a square variable set")
     return (fs, es)
 
 
@@ -78,16 +88,17 @@ def mono_key(m):
 
 
 def _exponent_tuples(weights, total):
-    # all exponent tuples e with sum(w_i * e_i) == total
+    # all exponent tuples e >= 0 with sum(w_i * e_i) == total >= 0, in
+    # lexicographic order: extend the partial tuples weight by weight,
+    # each paired with the weight it leaves, then fix the last exponent
     if not weights:
-        if total == 0:
-            yield ()
-        return
-    w = weights[0]
-    rest = weights[1:]
-    for e in range(total // w + 1):
-        for tail in _exponent_tuples(rest, total - w * e):
-            yield (e,) + tail
+        return [()] if total == 0 else []
+    partial = [((), total)]
+    for w in weights[:-1]:
+        partial = [(head + (e,), left - w * e)
+                   for head, left in partial for e in range(left // w + 1)]
+    w = weights[-1]
+    return [head + (left // w,) for head, left in partial if left % w == 0]
 
 
 def enumerate_monomials(vs, degree):
@@ -101,21 +112,13 @@ def enumerate_monomials(vs, degree):
     return [(t[nb:], t[:nb]) for t in _exponent_tuples(weights, degree)]
 
 
-def mono_str(m, primes=True):
+def mono_str(m):
     es, fs = m
-    parts = []
-    for i, e in enumerate(es):
-        if e == 1:
-            parts.append("p_%d" % (i + 1))
-        elif e > 1:
-            parts.append("p_%d^%d" % (i + 1, e))
-    for j, f in enumerate(fs):
-        name = "p'_%d" % (j + 1) if primes else "p_%d" % (j + 1)
-        if f == 1:
-            parts.append(name)
-        elif f > 1:
-            parts.append(name + "^%d" % f)
-    return " ".join(parts) if parts else "1"
+    parts = ["p_%d" % i if e == 1 else "p_%d^%d" % (i, e)
+             for i, e in enumerate(es, 1) if e]
+    parts += ["p'_%d" % j if f == 1 else "p'_%d^%d" % (j, f)
+              for j, f in enumerate(fs, 1) if f]
+    return " ".join(parts) or "1"
 
 
 class Polynomial:
@@ -137,14 +140,6 @@ class Polynomial:
     def from_mono(cls, vs, m, coef=1):
         return cls(vs, {m: coef})
 
-    @classmethod
-    def zero(cls, vs):
-        return cls(vs)
-
-    @classmethod
-    def one(cls, vs):
-        return cls(vs, {mono_one(vs): 1})
-
     def is_zero(self):
         return not self.terms
 
@@ -153,7 +148,8 @@ class Polynomial:
             and self.terms == other.terms
 
     def __add__(self, other):
-        assert self.vars == other.vars
+        if self.vars != other.vars:
+            raise ValueError("sum across variable sets")
         terms = dict(self.terms)
         for m, c in other.terms.items():
             terms[m] = terms.get(m, 0) + c
@@ -166,7 +162,8 @@ class Polynomial:
         return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        assert self.vars == other.vars
+        if self.vars != other.vars:
+            raise ValueError("product across variable sets")
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -180,26 +177,26 @@ class Polynomial:
     def __repr__(self):
         if not self.terms:
             return "0"
-        out = ""
+        one = mono_one(self.vars)
+        parts = []
         for m, c in self.items():
-            sign = "-" if c < 0 else "+"
             mag = abs(c)
-            if m == mono_one(self.vars):
+            if m == one:
                 body = str(mag)
             elif mag == 1:
                 body = mono_str(m)
             else:
                 body = "%s %s" % (mag, mono_str(m))
-            if not out:
-                out = body if sign == "+" else "-" + body
-            else:
-                out += " %s %s" % (sign, body)
-        return out
+            parts.append(("- " if c < 0 else "+ ") + body)
+        # the leading term drops its "+ " and writes "- " as "-"
+        out = " ".join(parts)
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def swap(p):
     """The involution exchanging p_i and p'_i.  Square variable sets only."""
-    assert p.vars.square(), "swap needs floor(a/2) == floor(b/2)"
+    if not p.vars.square():
+        raise ValueError("swap needs floor(a/2) == floor(b/2)")
     return Polynomial(p.vars, {mono_swap(m): c for m, c in p.terms.items()})
 
 
@@ -226,26 +223,26 @@ def s_hom(m, target):
     The source monomial lives in Q[p_1 .. p_n] (a VariableSet with no
     primed part).  Each p_i goes to sum_{j=0}^{i} p_j p'_{i-j} with
     p_0 = p'_0 = 1 and any out-of-range factor set to 0; the images
-    multiply out in the target ring.
+    multiply out in the target ring, on exponent tuples: a term p_j p'_k
+    raises the exponents at positions (j - 1, k - 1), where -1 stands
+    for the unit p_0 = p'_0.
     """
     es, fs = m
-    assert not any(fs), "s_hom sources carry no primed variables"
-    out = Polynomial.one(target)
-    for i0, e in enumerate(es):
-        if not e:
-            continue
-        i = i0 + 1
-        factor = Polynomial.zero(target)
-        for j in range(i + 1):
-            k = i - j
-            if j > target.na or k > target.nb:
-                continue
-            eu = tuple(1 if t == j - 1 else 0 for t in range(target.na))
-            fu = tuple(1 if t == k - 1 else 0 for t in range(target.nb))
-            factor = factor + Polynomial.from_mono(target, (eu, fu))
+    if any(fs):
+        raise ValueError("s_hom sources carry no primed variables")
+    terms = {mono_one(target): 1}
+    for i, e in enumerate(es, 1):
+        factor = [(j - 1, i - j - 1)
+                  for j in range(max(0, i - target.nb), min(i, target.na) + 1)]
         for _ in range(e):
-            out = out * factor
-    return out
+            out = {}
+            for (eu, fu), c in terms.items():
+                for j, k in factor:
+                    m2 = (eu if j < 0 else eu[:j] + (eu[j] + 1,) + eu[j + 1:],
+                          fu if k < 0 else fu[:k] + (fu[k] + 1,) + fu[k + 1:])
+                    out[m2] = out.get(m2, 0) + c
+            terms = out
+    return Polynomial(target, terms)
 
 
 class Series:
@@ -350,9 +347,10 @@ class FlavoredSpace(namedtuple("FlavoredSpace", "vars flavor")):
     __slots__ = ()
 
     def __new__(cls, vs, flavor):
-        assert flavor in (FULL, SYM, SKEW)
-        if flavor in (SYM, SKEW):
-            assert vs.square()
+        if flavor not in (FULL, SYM, SKEW):
+            raise ValueError("unknown flavor %r" % (flavor,))
+        if flavor != FULL and not vs.square():
+            raise ValueError("%s needs a square variable set" % flavor)
         return tuple.__new__(cls, (vs, flavor))
 
     @classmethod
@@ -375,7 +373,8 @@ def space_series(space, D):
         pair = full + fixed
     else:
         pair = full - fixed
-    assert all(x % 2 == 0 for x in pair.c)
+    if any(x % 2 for x in pair.c):
+        raise ArithmeticError("swap orbit count of %r is not whole" % (space,))
     return Series([x // 2 for x in pair.c], D)
 
 

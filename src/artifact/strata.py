@@ -31,10 +31,10 @@ class Stratum(namedtuple("Stratum", "level a b sign")):
     __slots__ = ()
 
     def __new__(cls, level, a, b, sign=None):
-        assert level >= 0
-        assert sign in (None, PLUS, MINUS)
-        if sign is not None:
-            assert level >= 3 and level % 2 == 1 and a < b
+        if level < 0 or not (sign is None or sign in (PLUS, MINUS)
+                             and level >= 3 and level % 2 == 1 and a < b):
+            raise ValueError("no stratum at level %r over (%r, %r) with sign %r"
+                             % (level, a, b, sign))
         return tuple.__new__(cls, (level, a, b, sign))
 
     @property

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -77,6 +78,23 @@ def test_generators_table(capsys):
     lines = out.splitlines()
     assert len(lines) == 5
     assert lines[0].split() == ["5", "sigma(1)"]
+
+
+@pytest.mark.parametrize("dim, fmt, digest", [
+    (6, "table", "fce382b1a9fd5ff32ef83d11dac1378b529c73946a03759cfd658d63d5b66a15"),
+    (6, "json", "e9bf48ea62453a383197cf1ffa55b8ef8a9142d5fbdb31c731f62bca3dc10726"),
+    (7, "table", "d7e474f43e0590dc55f9f200e47a50a931c325e28c8c5bbe2b55167389c165ce"),
+    (7, "json", "8535d3df147f779e807aa38722e919a663d8d6a349b880b2f855b36903fe8c48"),
+    (10, "table", "8564fe5777a4d413111dea0a75c9b80831e30cc9dd531d2f4a904cc3f31487c8"),
+    (10, "json", "81a9e77912b55e869839afa4ab64e6a4b36cfa07d3e99e36e3ee8424ec7436f5"),
+])
+def test_generators_bytes_are_pinned(capsys, dim, fmt, digest):
+    # the class labels are Polynomial reprs; these pins guard every byte
+    # of them at an even d with sigma classes, an odd d and d = 10
+    code, out = run_cli(capsys, "generators", "--dim", str(dim),
+                        "--max-degree", "60", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oracle_ok(capsys):

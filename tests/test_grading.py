@@ -3,9 +3,10 @@
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from artifact.grading import (
@@ -33,6 +34,14 @@ def _monomials_by_products(vs, degree):
         by_degree[n] = {mono_mul(u, m) for u, w in units if w <= n
                         for m in by_degree[n - w]}
     return by_degree.get(degree, set())
+
+
+def _run_under_O(code):
+    import artifact
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
 
 
 def _monos(vs_strategy):
@@ -71,6 +80,24 @@ class TestMonomials:
         got = enumerate_monomials(vs, degree)
         assert len(set(got)) == len(got)
         assert got == sorted(_monomials_by_products(vs, degree), key=mono_key)
+
+    @given(st.integers(0, 7), st.integers(0, 7), st.integers(-8, 40))
+    @example(0, 0, 0)
+    @example(0, 0, 4)
+    @example(1, 1, 0)
+    @example(1, 1, 8)
+    @example(4, 4, -4)
+    @example(4, 4, 6)
+    @settings(max_examples=60, deadline=None)
+    def test_enumerate_is_the_filtered_exponent_box(self, a, b, degree):
+        # every exponent tuple whose weighted sum is the degree, each
+        # exponent bounded by the degree over its weight
+        vs = VariableSet(a, b)
+        weights = [4 * (i + 1) for i in range(vs.na)] + [4 * (j + 1) for j in range(vs.nb)]
+        box = product(*(range(max(degree, 0) // w + 1) for w in weights))
+        want = [(t[:vs.na], t[vs.na:]) for t in box
+                if sum(w * e for w, e in zip(weights, t)) == degree]
+        assert enumerate_monomials(vs, degree) == sorted(want, key=mono_key)
 
     def test_enumerate_counts_match_series(self):
         vs = VariableSet(3, 2)
@@ -115,7 +142,6 @@ class TestPolynomial:
     def test_non_int_coefficient_rejected_under_O(self):
         # the type check is the exactness guard, so it must survive -O,
         # and Fraction(2) is refused although its value is integral
-        import artifact
         code = (
             "from fractions import Fraction\n"
             "from artifact.grading import Polynomial, VariableSet\n"
@@ -125,10 +151,7 @@ class TestPolynomial:
             "    except TypeError:\n"
             "        continue\n"
             "    raise SystemExit('accepted %r' % c)\n")
-        env = dict(os.environ,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              env=env, capture_output=True, text=True)
+        proc = _run_under_O(code)
         assert proc.returncode == 0, proc.stderr
 
     def test_repr_signs(self):
@@ -136,6 +159,52 @@ class TestPolynomial:
         p = (Polynomial.from_mono(vs, ((1,), (0,)))
              - Polynomial.from_mono(vs, ((0,), (1,))))
         assert repr(p) == "p_1 - p'_1"
+
+    @pytest.mark.parametrize("terms, want", [
+        ({}, "0"),
+        ({((0, 0), (0, 0)): 3}, "3"),
+        ({((0, 0), (0, 0)): -1}, "-1"),
+        ({((1, 0), (0, 0)): -2, ((0, 0), (1, 0)): 1}, "-2 p_1 + p'_1"),
+        ({((0, 0), (0, 0)): -1, ((2, 0), (0, 1)): 2, ((0, 1), (0, 0)): -1},
+         "-1 - p_2 + 2 p_1^2 p'_2"),
+        ({((0, 0), (2, 1)): 1, ((0, 0), (0, 1)): -5}, "-5 p'_2 + p'_1^2 p'_2"),
+    ])
+    def test_repr_golden(self, terms, want):
+        # zero, constants, a negative leading coefficient, coefficients
+        # above 1 and primed-only terms, in mono_key order
+        assert repr(Polynomial(VariableSet(4, 4), terms)) == want
+
+    def test_guards_raise_under_O(self):
+        # misuse raises ValueError and the orbit-count exactness guard
+        # ArithmeticError; neither is an assert, so both survive -O
+        code = (
+            "from artifact.grading import (VariableSet, Polynomial, FlavoredSpace,\n"
+            "    SYM, SKEW, mono_mul, mono_swap, swap, s_hom, space_series)\n"
+            "sq, rect = VariableSet(2, 2), VariableSet(2, 4)\n"
+            "p = Polynomial.from_mono(sq, ((1,), (0,)))\n"
+            "q = Polynomial.from_mono(rect, ((1,), (0, 0)))\n"
+            "bad_sym = tuple.__new__(FlavoredSpace, (rect, SYM))\n"
+            "cases = [\n"
+            "    (ValueError, lambda: VariableSet(-1, 2)),\n"
+            "    (ValueError, lambda: VariableSet(2, -1)),\n"
+            "    (ValueError, lambda: mono_mul(((1,), (0,)), ((1,), (0, 0)))),\n"
+            "    (ValueError, lambda: mono_swap(((1,), (0, 0)))),\n"
+            "    (ValueError, lambda: swap(q)),\n"
+            "    (ValueError, lambda: p + q),\n"
+            "    (ValueError, lambda: p * q),\n"
+            "    (ValueError, lambda: s_hom(((1,), (1,)), sq)),\n"
+            "    (ValueError, lambda: FlavoredSpace(sq, 'odd')),\n"
+            "    (ValueError, lambda: FlavoredSpace(rect, SKEW)),\n"
+            "    (ArithmeticError, lambda: space_series(bad_sym, 8)),\n"
+            "]\n"
+            "for n, (error, f) in enumerate(cases):\n"
+            "    try:\n"
+            "        f()\n"
+            "    except error:\n"
+            "        continue\n"
+            "    raise SystemExit('case %d accepted' % n)\n")
+        proc = _run_under_O(code)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSwapAndSplit:
@@ -201,6 +270,29 @@ class TestSplittingHom:
             VariableSet(2 * a, 2 * a))
         assert swap(out) == out
 
+    @given(st.integers(0, 16).flatmap(
+               lambda d: st.sampled_from([m for n in range(0, 49, 4)
+                                          for m in enumerate_monomials(VariableSet(d, 0), n)])),
+           st.integers(0, 12), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_product_of_whitney_factors(self, m, a, b):
+        # p_i goes to W_i = sum_j p_j p'_{i-j}, built here from Polynomial
+        # sums and products, out-of-range factors dropped
+        tgt = VariableSet(a, b)
+
+        def unit(n, i):
+            return tuple(int(t == i - 1) for t in range(n))
+
+        want = Polynomial.from_mono(tgt, mono_one(tgt))
+        for i, e in enumerate(m[0], 1):
+            w = Polynomial(tgt)
+            for j in range(i + 1):
+                if j <= tgt.na and i - j <= tgt.nb:
+                    w = w + Polynomial.from_mono(tgt, (unit(tgt.na, j), unit(tgt.nb, i - j)))
+            for _ in range(e):
+                want = want * w
+        assert s_hom(m, tgt) == want
+
     def test_multiplicative(self):
         tgt = VariableSet(4, 4)
         f = s_hom(((1, 0), ()), tgt)
@@ -248,7 +340,6 @@ class TestSeries:
     def test_bound_checks_raise_under_O(self):
         # the counted ranks of columns >= 2 are Series arithmetic, so
         # mismatched truncations and negative shifts must fail under -O
-        import artifact
         code = (
             "from artifact.grading import Series\n"
             "a, b = Series([1, 2, 3, 4]), Series([5, 6])\n"
@@ -261,10 +352,7 @@ class TestSeries:
             "    except ValueError:\n"
             "        continue\n"
             "    raise SystemExit('%s accepted' % name)\n")
-        env = dict(os.environ,
-                   PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
-        proc = subprocess.run([sys.executable, "-O", "-c", code],
-                              env=env, capture_output=True, text=True)
+        proc = _run_under_O(code)
         assert proc.returncode == 0, proc.stderr
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=6),

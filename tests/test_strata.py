@@ -174,8 +174,8 @@ def test_content_series_includes_euler_shift():
 ])
 def test_value_constructor_guards(build):
     # a signed even-level stratum, a negative range, a symmetric flavor
-    # on a non-square variable set
-    with pytest.raises(AssertionError):
+    # on a non-square variable set; raises, so the guards hold under -O
+    with pytest.raises(ValueError):
         build()
 
 
