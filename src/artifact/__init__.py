@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .grading import (
     VariableSet, Polynomial, Series, FlavoredSpace,
     FULL, SYM, SKEW,
-    enumerate_monomials, space_series, swap, s_hom, restrict,
+    enumerate_monomials, space_series, free_gca_series, swap, s_hom, restrict,
 )
 from .strata import Stratum, ContentPiece, enumerate_strata, euler_available, column_content
 from .actions import symmetry_action, invariant_series, oracle_crosscheck
@@ -25,4 +25,4 @@ from .pages import (
     e2_ranks, closed_form, closed_form_notes,
     generator_classes, verify_generators, chain_check, collapse_check,
 )
-from .loopspace import free_gca_series, loopspace_series, mmm_subseries
+from .loopspace import loopspace_series, mmm_subseries

@@ -63,7 +63,8 @@ def group_closure(gens):
                 if gh not in items:
                     items.add(gh)
                     changed = True
-    assert len(items) <= 4
+    if len(items) > 4:
+        raise ArithmeticError("symmetry group of order %d exceeds 4" % len(items))
     return sorted(items)
 
 
@@ -122,7 +123,8 @@ def apply_gen(g, s, x):
         sign *= g.se_b
     if not g.exchange:
         return sign, x
-    assert s.a == s.b
+    if s.a != s.b:
+        raise ValueError("exchange applied to stratum %r with a != b" % (s,))
     koszul = -1 if (s.a * s.b) % 2 else 1
     sign *= koszul
     if ea and eb:

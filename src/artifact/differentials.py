@@ -58,7 +58,8 @@ def element_poly(el):
     sm = mono_swap(m)
     if el.piece.flavor == SYM:
         return p if sm == m else p + Polynomial.from_mono(vs, sm)
-    assert sm != m
+    if sm == m:
+        raise ValueError("skew element on the swap-fixed monomial %r" % (m,))
     return p - Polynomial.from_mono(vs, sm)
 
 
@@ -110,7 +111,8 @@ def restriction_expansion(d, a_top, p):
 
 def d0(d, el):
     """Column 0 into the fold column."""
-    assert el.stratum.level == 0
+    if el.stratum.level != 0:
+        raise ValueError("d0 applied to column %d" % el.stratum.level)
     if not el.piece.euler:
         return {}
     # s_hom is a ring map that commutes with restrict (both send the
@@ -124,7 +126,8 @@ def d0(d, el):
 def d_fold(d, el):
     """Fold column into level 2."""
     s = el.stratum
-    assert s.level == 1
+    if s.level != 1:
+        raise ValueError("d_fold applied to column %d" % s.level)
     out = {}
     if el.piece.euler:
         return out
@@ -158,7 +161,8 @@ def d_even_col(d, el):
     """Level 2r into level 2r + 1."""
     s = el.stratum
     lv = s.level
-    assert lv >= 2 and lv % 2 == 0
+    if lv < 2 or lv % 2:
+        raise ValueError("d_even_col applied to column %d" % lv)
     r = lv // 2
     out = {}
     if (r % 2 == 0) == el.piece.euler:
@@ -178,7 +182,8 @@ def d_odd_col(d, el):
     """Level 2r + 1 into level 2r + 2."""
     s = el.stratum
     lv = s.level
-    assert lv >= 3 and lv % 2 == 1
+    if lv < 3 or lv % 2 == 0:
+        raise ValueError("d_odd_col applied to column %d" % lv)
     r = (lv - 1) // 2
     out = {}
     t = Stratum(lv + 1, s.a, s.b)
@@ -186,11 +191,13 @@ def d_odd_col(d, el):
     if s.a != s.b:
         sheet = 1 if s.sign == PLUS else -1
         _expand(out, t, el.piece.euler, p, sheet)
+    elif el.piece.euler != (r % 2 == 1):
+        # the a = b content carries the Euler class exactly for r odd
+        raise ArithmeticError("Euler flag %r at a = b in column %d"
+                              % (el.piece.euler, lv))
     elif r % 2 == 0:
-        assert not el.piece.euler
         _expand(out, t, False, p - swap(p))
     else:
-        assert el.piece.euler
         _expand(out, t, True, p + swap(p))
     return out
 

@@ -55,7 +55,9 @@ class IndexedBasis:
         self.degree = degree
         self.elements = elements
         self.index = {el: i for i, el in enumerate(elements)}
-        assert len(self.index) == len(elements)
+        if len(self.index) != len(elements):
+            raise ArithmeticError("basis (%d, %d) lists an element twice"
+                                  % (column, degree))
 
     def __len__(self):
         return len(self.elements)

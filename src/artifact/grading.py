@@ -8,7 +8,9 @@ the rational cohomology of BSO_a x BSO_b away from Euler classes, with
 deg p_i = deg p'_i = 4i.  When the two variable ranges agree the swap
 involution exchanges primed and unprimed variables and splits P(a, b)
 into symmetric and skew summands.  Rank counting happens in truncated
-integer power series in one variable t.
+integer power series in one variable t.  free_gca_series is the one
+kernel that expands the series of a free algebra; space_series calls it
+for P(a, b) and its swap-fixed subring, and Series only adds and shifts.
 
 All arithmetic is exact: polynomial and series coefficients are int.
 Every map the engine applies (Whitney splitting, restriction, swap,
@@ -264,37 +266,11 @@ class Series:
     def zero(cls, D):
         return cls([0], D)
 
-    @classmethod
-    def one(cls, D):
-        return cls([1], D)
-
-    @classmethod
-    def geom(cls, n, D):
-        """1 / (1 - t^n)."""
-        if n < 1:
-            raise ValueError("generator degree %d is below 1" % n)
-        c = [0] * (D + 1)
-        for k in range(0, D + 1, n):
-            c[k] = 1
-        return cls(c, D)
-
-    @classmethod
-    def ring(cls, degrees, D):
-        """Series of a free commutative ring on generators of even degrees."""
-        out = cls.one(D)
-        for g in degrees:
-            out = out * cls.geom(g, D)
-        return out
-
-    def shift(self, k):
-        """Multiply by t^k; the truncation bound moves up with the shift."""
-        if k < 0:
-            raise ValueError("shift %d is below 0" % k)
-        return Series([0] * k + self.c, self.D + k)
-
     def tshift(self, k):
         """Multiply by t^k, keeping the truncation bound."""
-        return Series(self.shift(k).c, self.D)
+        if k < 0:
+            raise ValueError("shift %d is below 0" % k)
+        return Series([0] * k + self.c, self.D)
 
     def _same_D(self, other):
         if self.D != other.D:
@@ -307,18 +283,6 @@ class Series:
     def __sub__(self, other):
         self._same_D(other)
         return Series([x - y for x, y in zip(self.c, other.c)], self.D)
-
-    def __mul__(self, other):
-        self._same_D(other)
-        c = [0] * (self.D + 1)
-        for i, x in enumerate(self.c):
-            if not x:
-                continue
-            for j in range(0, self.D + 1 - i):
-                y = other.c[j]
-                if y:
-                    c[i + j] += x * y
-        return Series(c, self.D)
 
     def __eq__(self, other):
         return isinstance(other, Series) and self.D == other.D and self.c == other.c
@@ -359,16 +323,41 @@ class FlavoredSpace(namedtuple("FlavoredSpace", "vars flavor")):
         return cls(VariableSet(d, 0), FULL)
 
 
+def free_gca_series(gens, D):
+    """Poincare series of a free graded-commutative algebra, truncated at D.
+
+    gens maps generator degree (>= 1) to multiplicity (>= 0): the algebra
+    is polynomial on the even generators and exterior on the odd ones.
+    A degree-0 entry would sit in the unit; it and a negative
+    multiplicity raise ValueError.
+    """
+    c = [1] + [0] * D
+    for n in sorted(gens):
+        g = gens[n]
+        if n < 1 or g < 0:
+            raise ValueError("generator degree %d with multiplicity %d: the "
+                             "degree must be >= 1 and the multiplicity >= 0"
+                             % (n, g))
+        # an even generator divides by 1 - t^n: ascending k reads the
+        # coefficients this pass already raised.  An odd one multiplies
+        # by 1 + t^n: descending k reads only the old ones
+        ks = range(n, D + 1) if n % 2 == 0 else range(D, n - 1, -1)
+        for _ in range(g):
+            for k in ks:
+                c[k] += c[k - n]
+    return Series(c, D)
+
+
 def space_series(space, D):
     """Rank generating series of a flavored space, truncated at D."""
     vs = space.vars
-    degrees = [4 * (i + 1) for i in range(vs.na)] + [4 * (j + 1) for j in range(vs.nb)]
-    full = Series.ring(degrees, D)
+    full = free_gca_series({4 * i: (i <= vs.na) + (i <= vs.nb)
+                            for i in range(1, max(vs.na, vs.nb) + 1)}, D)
     if space.flavor == FULL:
         return full
     # swap-fixed monomials have es == fs, so they form a free ring on
     # the doubled degrees 8, 16, ...
-    fixed = Series.ring([8 * (i + 1) for i in range(vs.na)], D)
+    fixed = free_gca_series({8 * i: 1 for i in range(1, vs.na + 1)}, D)
     if space.flavor == SYM:
         pair = full + fixed
     else:

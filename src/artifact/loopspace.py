@@ -6,44 +6,17 @@ cohomology: polynomial on even generators, exterior on odd ones.  The
 generator counts come straight from the second-page ranks, so the
 Poincare series of the whole characteristic-class algebra is
 
-    prod_{n even} (1 - t^n)^{-g_n} * prod_{n odd} (1 + t^n)^{g_n}.
+    prod_{n even} (1 - t^n)^{-g_n} * prod_{n odd} (1 + t^n)^{g_n},
+
+which grading.free_gca_series expands, as it does every ring series.
 
 The column-0 survivors form the subalgebra of ordinary bundle classes;
 mmm_subseries returns its rank series, which is independent of the
 truncation order.
 """
 
-from math import comb
-
-from .grading import Series, FlavoredSpace, space_series
+from .grading import FlavoredSpace, space_series, free_gca_series
 from .pages import e2_ranks
-
-
-def free_gca_series(gens, D):
-    """Poincare series of a free graded-commutative algebra.
-
-    gens maps generator degree (>= 1) to multiplicity (>= 0).  A
-    degree-0 entry would sit in the unit; it and a negative multiplicity
-    raise ValueError.
-    """
-    out = [1] + [0] * D
-    for n in sorted(gens):
-        g = gens[n]
-        if n < 1 or g < 0:
-            raise ValueError("generator degree %d with multiplicity %d: the "
-                             "degree must be >= 1 and the multiplicity >= 0"
-                             % (n, g))
-        if g == 0 or n > D:
-            continue
-        # binomial theorem: (1 - t^n)^(-g) = sum_j C(g+j-1, j) t^(nj) and
-        # (1 + t^n)^g = sum_j C(g, j) t^(nj), with C(g, j) = 0 for j > g
-        new = list(out)
-        for j in range(1, D // n + 1):
-            f = comb(g + j - 1, j) if n % 2 == 0 else comb(g, j)
-            if f:
-                new[n * j:] = [x + f * y for x, y in zip(new[n * j:], out)]
-        out = new
-    return Series(out, D)
 
 
 def loopspace_series(d, R, D, offset=0):

@@ -148,9 +148,9 @@ class PageCell:
 class PageReport:
     """Everything e2_ranks computed for one (d, R, D)."""
 
-    __slots__ = ("d", "R", "D", "cells", "total", "closed", "mismatch", "notes")
+    __slots__ = ("d", "R", "D", "cells", "total", "closed", "mismatch")
 
-    def __init__(self, d, R, D, cells, total, closed, mismatch, notes):
+    def __init__(self, d, R, D, cells, total, closed, mismatch):
         self.d = d
         self.R = R
         self.D = D
@@ -158,7 +158,6 @@ class PageReport:
         self.total = total
         self.closed = closed
         self.mismatch = mismatch
-        self.notes = notes
 
     @property
     def ok(self):
@@ -194,9 +193,8 @@ def e2_ranks(d, R, D):
             total[n] += e2
     total = Series(total, D)
     closed = closed_form(d, R, D)
-    notes = closed_form_notes(d, R)
     mismatch = total.first_mismatch(closed) if closed is not None else None
-    return PageReport(d, R, D, cells, total, closed, mismatch, notes)
+    return PageReport(d, R, D, cells, total, closed, mismatch)
 
 
 def _P(a, b, D):
@@ -220,27 +218,26 @@ def closed_form(d, R, D):
     if d < 1:
         return None
     Rn = _norm_R(R)
-    tsh = lambda ser, k: ser.tshift(k)
     B = _P(d, 0, D)
     # tau block: one family per a_top <= d/2 of the parity of d + 1
     tau = Series.zero(D)
     for a_top in range((d + 1) % 2, d // 2 + 1, 2):
-        tau = tau + tsh(_P(a_top, d + 1 - a_top, D),
-                        d + 1 + 4 * ((d + 1 - a_top) // 2))
+        tau = tau + _P(a_top, d + 1 - a_top, D).tshift(
+            d + 1 + 4 * ((d + 1 - a_top) // 2))
     if d % 2 == 0:
         half = d // 2
         # the fold kernel carries one extra class per symmetric
         # half-square monomial while the Euler image imposes one
         # relation per full-ring monomial; closed_form_notes gives the
         # degree where the two counts drift apart
-        tau = tau + tsh(_S(half, half, D) - _P(d, 0, D), d + 1)
+        tau = tau + (_S(half, half, D) - _P(d, 0, D)).tshift(d + 1)
         if Rn == 1:
             # the a = 0 block is unshifted: its own two-column sequence
             # cancels the Thom shift against the image of d0
             fold = Series.zero(D)
             for a in range(1, half + 1):
                 fold = fold + _P(a, d + 1 - a, D)
-            return _P(0, d + 1, D) + tsh(fold, d + 1)
+            return _P(0, d + 1, D) + fold.tshift(d + 1)
         if Rn is None:
             return B + tau
         r = Rn // 2
@@ -251,27 +248,27 @@ def closed_form(d, R, D):
                 blk = blk + _P(i, d - i, D)
             if d % 4 == 0:
                 blk = blk + (_A(half, half, D) if Rn % 2 == 0 else _S(half, half, D))
-            return B + tau + tsh(blk, 2 * d + Rn)
+            return B + tau + blk.tshift(2 * d + Rn)
         # r even: survivors sit right above the Thom degree
         blk = Series.zero(D)
         for a in range(half):
             blk = blk + _P(a, d - a, D)
         blk = blk + (_S(half, half, D) if Rn % 2 == 0 else _A(half, half, D))
-        return B + tau + tsh(blk, d + Rn)
+        return B + tau + blk.tshift(d + Rn)
     # d odd
     d2 = (d + 1) // 2
-    sig = tsh(_A(d2, d2, D), d + 1)
+    sig = _A(d2, d2, D).tshift(d + 1)
     icls = Series.zero(D)
     for a in range(0, d2, 2):
         icls = icls + _P(a, d + 1 - a, D)
     if d % 4 == 3:
         icls = icls + _S(d2, d2, D)
-    icls = tsh(icls, 2 * d + 2)
+    icls = icls.tshift(2 * d + 2)
     if Rn == 1:
         fold = Series.zero(D)
         for a in range(d2):
             fold = fold + _P(a, d + 1 - a, D)
-        return B + sig + tsh(fold, d + 1) + icls
+        return B + sig + fold.tshift(d + 1) + icls
     if Rn is None:
         return B + sig + icls + tau
     r = Rn // 2
@@ -280,7 +277,7 @@ def closed_form(d, R, D):
     blk = Series.zero(D)
     for a in range(d2):
         blk = blk + _P(a, d - a, D)
-    return B + sig + icls + tau + tsh(blk, d + Rn)
+    return B + sig + icls + tau + blk.tshift(d + Rn)
 
 
 def closed_form_notes(d, R):

@@ -147,7 +147,5 @@ def content_series(s, D):
     total = Series.zero(D)
     for piece in column_content(s):
         shift = s.thom_degree + (s.euler_degree if piece.euler else 0)
-        if shift > D:
-            continue
-        total = total + space_series(piece.space(s), D - shift).shift(shift)
+        total = total + space_series(piece.space(s), D).tshift(shift)
     return total

@@ -215,3 +215,58 @@ def test_expand_guards_survive_O():
     assert proc.stdout.splitlines() == [
         "image claimed symmetric is not", "image claimed skew is not",
         "image hits a stratum without matching content"]
+
+
+def test_argument_checks_and_guards_survive_O():
+    # wrong-column calls, apply_gen's exchange at a != b and a skew
+    # element on a swap-fixed monomial are argument errors; a wrong Euler
+    # flag at a = b, a symmetry group above order 4 and a duplicate basis
+    # element break exactness.  Each must still raise under -O
+    import artifact
+    code = (
+        "from artifact.grading import FULL, SKEW, VariableSet, mono_one\n"
+        "from artifact.strata import Stratum, ContentPiece\n"
+        "from artifact.e1 import BasisElement, IndexedBasis\n"
+        "from artifact.actions import ActionGen, apply_gen, group_closure\n"
+        "from artifact.differentials import (\n"
+        "    d0, d_fold, d_even_col, d_odd_col, element_poly)\n"
+        "def el(level, a, b, euler, flavor=FULL):\n"
+        "    return BasisElement(Stratum(level, a, b), ContentPiece(euler, flavor),\n"
+        "                        mono_one(VariableSet(a, b)))\n"
+        "fold, flips = el(1, 0, 7, False), [ActionGen(False, -1, 1, 1, 1, 1),\n"
+        "    ActionGen(False, 1, -1, 1, 1, 1), ActionGen(False, 1, 1, -1, 1, 1)]\n"
+        "for exc, f in [\n"
+        "        (ValueError, lambda: d0(6, fold)),\n"
+        "        (ValueError, lambda: d_fold(6, el(0, 6, 0, False))),\n"
+        "        (ValueError, lambda: d_even_col(6, el(3, 3, 3, True))),\n"
+        "        (ValueError, lambda: d_odd_col(6, el(2, 3, 3, False))),\n"
+        "        (ValueError, lambda: element_poly(el(2, 2, 2, False, SKEW))),\n"
+        "        (ValueError, lambda: apply_gen(ActionGen(True, 1, 1, 1, 1, 1),\n"
+        "                                       Stratum(2, 1, 5), (0, 0, fold.mono))),\n"
+        "        (ArithmeticError, lambda: d_odd_col(6, el(3, 3, 3, False))),\n"
+        "        (ArithmeticError, lambda: d_odd_col(6, el(5, 3, 3, True))),\n"
+        "        (ArithmeticError, lambda: group_closure(flips)),\n"
+        "        (ArithmeticError, lambda: IndexedBasis(6, 1, 7, [fold, fold]))]:\n"
+        "    try:\n"
+        "        f()\n"
+        "    except exc as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('%s not raised' % exc.__name__)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "d0 applied to column 1",
+        "d_fold applied to column 0",
+        "d_even_col applied to column 3",
+        "d_odd_col applied to column 2",
+        "skew element on the swap-fixed monomial ((0,), (0,))",
+        "exchange applied to stratum A_2(1,5) with a != b",
+        "Euler flag False at a = b in column 3",
+        "Euler flag True at a = b in column 5",
+        "symmetry group of order 8 exceeds 4",
+        "basis (1, 7) lists an element twice",
+    ]

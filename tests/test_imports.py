@@ -24,3 +24,12 @@ def test_engine_imports_only_the_standard_library():
     assert tops
     assert [t for t in tops if t[1] not in sys.stdlib_module_names] == []
     assert [t for t in tops if t[1] == "fractions"] == []
+
+
+def test_engine_has_no_assert_statements():
+    # python -O strips assert, so every check in the engine is a raise
+    files = sorted(pathlib.Path(artifact.__file__).parent.glob("*.py"))
+    asserts = [(f.name, node.lineno)
+               for f in files for node in ast.walk(ast.parse(f.read_text(), str(f)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.grading import Series
 from artifact.pages import e2_ranks
 from artifact.loopspace import free_gca_series, loopspace_series, mmm_subseries
 
 
 def test_single_even_generator_is_polynomial():
-    assert free_gca_series({4: 1}, 16) == Series.geom(4, 16)
+    assert free_gca_series({4: 1}, 16).c == [1, 0, 0, 0] * 4 + [1]
 
 
 def test_single_odd_generator_is_exterior():
@@ -27,11 +26,11 @@ def test_mixed_generators():
 
 
 def test_zero_multiplicity_dropped():
-    assert free_gca_series({4: 0, 6: 1}, 12) == Series.geom(6, 12)
+    assert free_gca_series({4: 0, 6: 1}, 12).c == [1, 0, 0, 0, 0, 0] * 2 + [1]
 
 
 def test_generators_above_cutoff_ignored():
-    assert free_gca_series({30: 5}, 12) == Series.one(12)
+    assert free_gca_series({30: 5}, 12).c == [1] + [0] * 12
 
 
 def test_rejects_degree_zero():
@@ -57,14 +56,20 @@ def test_rejects_negative_multiplicity_under_O():
     assert proc.stdout.startswith("generator degree 2 with multiplicity -1")
 
 
+def _product(x, y):
+    """Dense product of two coefficient lists, truncated to their length."""
+    return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(len(x))]
+
+
 def _repeated_product(gens, D):
     """The series multiplied out one generator at a time."""
-    out = Series.one(D)
+    out = [1] + [0] * D
     for n, g in gens.items():
-        factor = Series.geom(n, D) if n % 2 == 0 else \
-            Series([1] + [0] * (n - 1) + [1], D)
+        # 1 / (1 - t^n) for even n, 1 + t^n for odd n
+        factor = [int(k % n == 0 if n % 2 == 0 else k in (0, n))
+                  for k in range(D + 1)]
         for _ in range(g):
-            out = out * factor
+            out = _product(out, factor)
     return out
 
 
@@ -72,8 +77,8 @@ def _repeated_product(gens, D):
        st.integers(0, 40))
 @settings(max_examples=60, deadline=None)
 def test_matches_repeated_product(gens, D):
-    # odd multiplicities above D / n exercise the C(g, j) = 0 tail
-    assert free_gca_series(gens, D) == _repeated_product(gens, D)
+    # the reference multiplies dense factors and shares no code with the kernel
+    assert free_gca_series(gens, D).c == _repeated_product(gens, D)
 
 
 @given(st.dictionaries(st.integers(1, 10), st.integers(0, 2), max_size=3),
@@ -84,8 +89,8 @@ def test_multiplicative_in_the_generators(g1, g2):
     for n, g in g2.items():
         merged[n] = merged.get(n, 0) + g
     D = 14
-    assert free_gca_series(merged, D) == \
-        free_gca_series(g1, D) * free_gca_series(g2, D)
+    assert free_gca_series(merged, D).c == \
+        _product(free_gca_series(g1, D).c, free_gca_series(g2, D).c)
 
 
 def test_loopspace_d4():
@@ -108,12 +113,12 @@ def test_loopspace_coefficients_nonnegative():
 
 
 def test_mmm_subseries_even():
-    assert mmm_subseries(4, 12).c == Series.ring([4, 8], 12).c
+    assert mmm_subseries(4, 12).c == [1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 2]
 
 
 def test_mmm_subseries_odd_matches_its_pontryagin_ring():
     assert mmm_subseries(5, 12) == mmm_subseries(4, 12)
-    assert mmm_subseries(7, 12) == Series.ring([4, 8, 12], 12)
+    assert mmm_subseries(7, 12).c == [1, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3]
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
