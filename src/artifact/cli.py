@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+from collections import namedtuple
 
 from .grading import VariableSet, FlavoredSpace, FULL, SYM, SKEW, space_series
 from .actions import oracle_crosscheck
@@ -29,14 +30,7 @@ class UsageError(Exception):
     pass
 
 
-class Result:
-    __slots__ = ("exit", "series", "report", "table")
-
-    def __init__(self, exit=0, series=None, report=None, table=None):
-        self.exit = exit
-        self.series = series
-        self.report = report
-        self.table = table if table is not None else []
+Result = namedtuple("Result", "exit series report table", defaults=(0, None, None, ()))
 
 
 _FLAVORS = {"p": FULL, "sp": SYM, "ap": SKEW}
@@ -62,14 +56,18 @@ def _parse_space(text, D):
         raise UsageError("bad space %r" % text)
 
 
+def _series_result(ser, report=None):
+    """A series verb's result: the coefficients, one comma-joined table line."""
+    return Result(series=list(ser.c), report=report,
+                  table=[",".join(str(x) for x in ser.c)])
+
+
 def _cmd_series(args):
-    ser = _parse_space(args.space, args.max_degree)
-    return Result(series=list(ser.c), table=[",".join(str(x) for x in ser.c)])
+    return _series_result(_parse_space(args.space, args.max_degree))
 
 
 def _cmd_e1(args):
-    ser = column_series(args.dim, args.column, args.max_degree)
-    return Result(series=list(ser.c), table=[",".join(str(x) for x in ser.c)])
+    return _series_result(column_series(args.dim, args.column, args.max_degree))
 
 
 def _cmd_e2(args):
@@ -80,8 +78,7 @@ def _cmd_e2(args):
         rows.append({"column": k, "degree": n, "e1": c.e1_rank,
                      "kernel": c.kernel_rank, "image": c.image_rank_from_left,
                      "e2": c.e2_rank})
-    return Result(series=list(rep.total.c), report=rows,
-                  table=[",".join(str(x) for x in rep.total.c)])
+    return _series_result(rep.total, rows)
 
 
 def _cmd_generators(args):
@@ -108,7 +105,7 @@ def _cmd_loopspace(args):
         ser = loopspace_series(args.dim, args.r, args.max_degree, args.offset)
     except ValueError as e:
         raise UsageError(str(e))
-    return Result(series=list(ser.c), table=[",".join(str(x) for x in ser.c)])
+    return _series_result(ser)
 
 
 def _cmd_verify(args):

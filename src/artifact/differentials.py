@@ -20,6 +20,10 @@ Euler-free part of the stratum (a, b) maps by restriction of variables,
     top, d even:      U . m |-> U_{a-1, b, 2} . m| + U_{a, a, 2} . (m| - swap m|)
     top, d odd, skew: U . k |-> U_{a-1, b, 2} . k|
 
+d_fold states the table as the two level-2 neighbours of (a, b): (a - 1, b)
+when a > 0, and (a, b - 1) when a < b, where the square (a, a) takes
+m| - swap m|.
+
 Level 2r to 2r + 1:  for r even the Euler-free piece maps with the
 covering multiplicity 2 (onto both sign sheets when a < b, onto the
 single full target when a = b); the Euler piece dies.  For r odd the
@@ -29,6 +33,8 @@ Level 2r + 1 to 2r + 2:  sign sheets map by +-U . m with the sign of
 the sheet.  At a = b the single full source maps by m - swap m (r even)
 or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 """
+
+from collections import namedtuple
 
 from .grading import (
     VariableSet, Polynomial, mono_swap, swap, restrict, s_hom, is_orbit_rep,
@@ -133,27 +139,14 @@ def d_fold(d, el):
         return out
     a, b = s.a, s.b
     p = element_poly(el)
-    a_top = (d + 1) // 2
-    if a == a_top:
-        if a == b:
-            # d odd; the skew part restricts one step down
-            t = Stratum(2, a - 1, b)
-            _expand(out, t, False, restrict(p, t.vars))
-        else:
-            # d even top (a, a + 1)
-            t1 = Stratum(2, a - 1, b)
-            _expand(out, t1, False, restrict(p, t1.vars))
-            t2 = Stratum(2, a, a)
-            q = restrict(p, t2.vars)
-            _expand(out, t2, False, q - swap(q))
-    elif a == 0:
-        t = Stratum(2, 0, d)
+    if a:
+        t = Stratum(2, a - 1, b)
         _expand(out, t, False, restrict(p, t.vars))
-    else:
-        t1 = Stratum(2, a - 1, b)
-        _expand(out, t1, False, restrict(p, t1.vars))
-        t2 = Stratum(2, a, b - 1)
-        _expand(out, t2, False, restrict(p, t2.vars))
+    if a < b:
+        t = Stratum(2, a, b - 1)
+        q = restrict(p, t.vars)
+        # a == b - 1 only at the even-d top, whose neighbour (a, a) is square
+        _expand(out, t, False, q - swap(q) if a == b - 1 else q)
     return out
 
 
@@ -168,13 +161,8 @@ def d_even_col(d, el):
     if (r % 2 == 0) == el.piece.euler:
         return out
     p = element_poly(el)
-    if s.a != s.b:
-        for sign in (PLUS, MINUS):
-            t = Stratum(lv + 1, s.a, s.b, sign)
-            _expand(out, t, el.piece.euler, p, COVER_FACTOR)
-    else:
-        t = Stratum(lv + 1, s.a, s.b)
-        _expand(out, t, el.piece.euler, p, COVER_FACTOR)
+    for sign in (PLUS, MINUS) if s.a != s.b else (None,):
+        _expand(out, Stratum(lv + 1, s.a, s.b, sign), el.piece.euler, p, COVER_FACTOR)
     return out
 
 
@@ -231,19 +219,14 @@ def apply_differential(d, vec):
     return out
 
 
-class LinearMap:
+class LinearMap(namedtuple("LinearMap", "source target cols")):
     """One differential as an integer matrix in the indexed bases.
 
     cols[j] maps target row index to the integer entry, one dict per
     source basis element.
     """
 
-    __slots__ = ("source", "target", "cols")
-
-    def __init__(self, source, target, cols):
-        self.source = source
-        self.target = target
-        self.cols = cols
+    __slots__ = ()
 
     def rank(self):
         return rank(self.cols)

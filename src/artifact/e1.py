@@ -25,11 +25,7 @@ class BasisElement(namedtuple("BasisElement", "stratum piece mono")):
 
     @property
     def degree(self):
-        s = self.stratum
-        d = s.thom_degree + mono_degree(self.mono)
-        if self.piece.euler:
-            d += s.euler_degree
-        return d
+        return self.piece.offset(self.stratum) + mono_degree(self.mono)
 
     def __repr__(self):
         s = self.stratum
@@ -78,8 +74,7 @@ def build_basis(d, k, n):
     elements = []
     for s in enumerate_strata(d, k):
         for piece in column_content(s):
-            md = n - s.thom_degree - (s.euler_degree if piece.euler else 0)
-            for m in orbit_reps(piece.space(s), md):
+            for m in orbit_reps(piece.space(s), n - piece.offset(s)):
                 elements.append(BasisElement(s, piece, m))
     return IndexedBasis(d, k, n, elements)
 

@@ -25,7 +25,7 @@ them with their fold-column expansions and verify_generators checks,
 degree by degree, that they exhaust the computed second page.
 """
 
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 from .grading import (
     VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
@@ -83,11 +83,10 @@ def _chain_ranks(d, k, D):
             types = [([mono_one(vs)], _S(a, a, D) - free)] + [
                 ([m, mono_swap(m)], free) for m in orbit_reps(FlavoredSpace(vs, SKEW), 4)]
         for piece in column_content(s):
-            shift = s.thom_degree + (s.euler_degree if piece.euler else 0)
             for orbit, count in types:
                 r = rank([differential(d, BasisElement(t, piece, m)) for t in sheets
                           for m in orbit if is_orbit_rep(piece.flavor, m)])
-                total = total + Series([r * x for x in count.tshift(shift).c], D)
+                total = total + Series([r * x for x in count.tshift(piece.offset(s)).c], D)
     return total
 
 
@@ -105,12 +104,13 @@ def _grid(d, D):
     # count; its rows on the fold stratum (0, d + 1) reach it (p_i -> p'_i)
     s, t = Stratum(0, d, 0), Stratum(1, 0, d + 1)
     piece = _piece_for(s, True)  # None for odd d
-    euler = space_series(piece.space(s), D).tshift(d) if piece else Series.zero(D)
+    off = piece.offset(s) if piece else 0  # = d; t's Thom degree is d + 1
+    euler = space_series(piece.space(s), D).tshift(off) if piece else Series.zero(D)
     for n in range(D0 + 1, D + 1) if piece else ():
         src = IndexedBasis(d, 0, n, [BasisElement(s, piece, m)
-                                     for m in orbit_reps(piece.space(s), n - d)])
+                                     for m in orbit_reps(piece.space(s), n - off)])
         tgt = IndexedBasis(d, 1, n + 1, [BasisElement(t, _piece_for(t, False), m)
-                                         for m in enumerate_monomials(t.vars, n - d)])
+                                         for m in enumerate_monomials(t.vars, n - off)])
         cols = [{tgt.position(tel): c for tel, c in restriction_expansion(
             d, 0, s_hom(el.mono, t.vars)).items()} for el in src]
         if LinearMap(src, tgt, cols).rank() != euler[n]:
@@ -125,19 +125,9 @@ def _grid(d, D):
     return entry
 
 
-class PageCell:
-    __slots__ = ("column", "degree", "e1_rank", "d_rank",
-                 "kernel_rank", "image_rank_from_left", "e2_rank")
-
-    def __init__(self, column, degree, e1_rank, d_rank, kernel_rank,
-                 image_rank_from_left, e2_rank):
-        self.column = column
-        self.degree = degree
-        self.e1_rank = e1_rank
-        self.d_rank = d_rank
-        self.kernel_rank = kernel_rank
-        self.image_rank_from_left = image_rank_from_left
-        self.e2_rank = e2_rank
+class PageCell(namedtuple("PageCell", "column degree e1_rank d_rank kernel_rank "
+                                      "image_rank_from_left e2_rank")):
+    __slots__ = ()
 
     def __repr__(self):
         return "PageCell(k=%d, n=%d, e1=%d, ker=%d, im=%d, e2=%d)" % (
@@ -145,19 +135,10 @@ class PageCell:
             self.kernel_rank, self.image_rank_from_left, self.e2_rank)
 
 
-class PageReport:
+class PageReport(namedtuple("PageReport", "d R D cells total closed mismatch")):
     """Everything e2_ranks computed for one (d, R, D)."""
 
-    __slots__ = ("d", "R", "D", "cells", "total", "closed", "mismatch")
-
-    def __init__(self, d, R, D, cells, total, closed, mismatch):
-        self.d = d
-        self.R = R
-        self.D = D
-        self.cells = cells
-        self.total = total
-        self.closed = closed
-        self.mismatch = mismatch
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -303,7 +284,7 @@ def closed_form_notes(d, R):
     return notes
 
 
-class GeneratorClass:
+class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree expansion")):
     """One explicit fold-column kernel class with its expansion.
 
     kind is 'tau', 'sigma', 'i', or 'i_top'; family is the tau index j,
@@ -311,14 +292,7 @@ class GeneratorClass:
     polynomial; expansion maps fold basis elements to coefficients.
     """
 
-    __slots__ = ("kind", "family", "data", "degree", "expansion")
-
-    def __init__(self, kind, family, data, degree, expansion):
-        self.kind = kind
-        self.family = family
-        self.data = data
-        self.degree = degree
-        self.expansion = expansion
+    __slots__ = ()
 
     def label(self):
         if self.kind == "tau":
@@ -378,7 +352,7 @@ def generator_classes(d, D):
         if piece is None:
             continue
         kind, family = ("i_top", None) if s.a == s.b else ("i", s.a)
-        for md in range(0, D - fold - s.euler_degree + 1, 4):
+        for md in range(0, D - piece.offset(s) + 1, 4):
             for m in orbit_reps(piece.space(s), md):
                 el = BasisElement(s, piece, m)
                 out.append(GeneratorClass(kind, family, element_poly(el),
@@ -386,14 +360,10 @@ def generator_classes(d, D):
     return out
 
 
-class CheckReport:
+class CheckReport(namedtuple("CheckReport", "title entries")):
     """A named list of pass/fail entries."""
 
-    __slots__ = ("title", "entries")
-
-    def __init__(self, title, entries):
-        self.title = title
-        self.entries = entries
+    __slots__ = ()
 
     @property
     def ok(self):

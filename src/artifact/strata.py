@@ -104,6 +104,10 @@ class ContentPiece(namedtuple("ContentPiece", "euler flavor")):
     def space(self, s):
         return FlavoredSpace(s.vars, self.flavor)
 
+    def offset(self, s):
+        """Degree of the piece's unit on s: the Thom class, times e if Euler."""
+        return s.thom_degree + (s.euler_degree if self.euler else 0)
+
 
 def column_content(s):
     """Flavored pieces of one stratum, Euler-less pieces dropped.
@@ -146,6 +150,5 @@ def content_series(s, D):
     """Rank series of one stratum's content, Thom and Euler shifts included."""
     total = Series.zero(D)
     for piece in column_content(s):
-        shift = s.thom_degree + (s.euler_degree if piece.euler else 0)
-        total = total + space_series(piece.space(s), D).tshift(shift)
+        total = total + space_series(piece.space(s), D).tshift(piece.offset(s))
     return total

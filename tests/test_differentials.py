@@ -1,5 +1,6 @@
 """Differential rules and assembled matrices."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -185,6 +186,21 @@ class TestMatrices:
         M = assemble_matrix(5, 0, 8)
         assert M.source.elements and all(not col for col in M.cols)
         assert M.rank() == 0
+
+    def test_fold_matrices_are_pinned(self):
+        # every fold matrix for d = 1..12 up to degree 40: the a = 0,
+        # generic, odd-d top and even-d top rules of d_fold all appear
+        h = hashlib.sha256()
+        for d in range(1, 13):
+            for n in range(41):
+                cols = [sorted(c.items()) for c in assemble_matrix(d, 1, n).cols]
+                h.update(repr((d, n, cols)).encode())
+        assert h.hexdigest() == \
+            "d777566047b717b879e383d7a638674a8453fb2ac1e267e0133d2636281b267c"
+
+    def test_repr_is_pinned(self):
+        assert repr(assemble_matrix(6, 1, 15)) == \
+            "LinearMap(9 x 12, k=1 -> 2, n=15 -> 16)"
 
 
 def test_expand_guards_survive_O():

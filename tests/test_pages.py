@@ -14,7 +14,7 @@ from artifact.grading import Series
 from artifact.loopspace import loopspace_series
 from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes,
-    verify_generators, chain_check, collapse_check,
+    verify_generators, chain_check, collapse_check, PageReport, CheckReport,
 )
 
 
@@ -211,6 +211,18 @@ def test_odd_generator_counts_match_closed_form(d):
     assert Series(counts, D) == want
 
 
+def test_generator_class_reprs_are_pinned():
+    first = {}
+    for cl in generator_classes(3, 24):
+        first.setdefault(cl.kind, cl)
+    assert {kind: repr(cl) for kind, cl in first.items()} == {
+        "tau": "tau[j=0](p'_2) deg=12",
+        "sigma": "sigma(p_1 - p'_1) deg=8",
+        "i": "I[a=0](1) deg=8",
+        "i_top": "I_top(1) deg=8",
+    }
+
+
 def test_generator_degrees_within_bound():
     for cl in generator_classes(5, 17):
         assert cl.degree <= 17
@@ -224,6 +236,18 @@ def test_e2_never_negative(d, D, R):
     for cell in rep.cells.values():
         assert cell.e2_rank >= 0
         assert cell.kernel_rank >= cell.image_rank_from_left
+
+
+def test_report_reprs_are_pinned():
+    rep = e2_ranks(6, "inf", 30)
+    assert repr(rep) == "PageReport(d=6, R=inf, D=30, ok)"
+    assert repr(rep.cells[(1, 15)]) == "PageCell(k=1, n=15, e1=12, ker=3, im=2, e2=1)"
+    assert rep.cells[(1, 15)].d_rank == 9
+    z = Series.zero(20)
+    assert repr(PageReport(4, 2, 20, {}, z, z, 9)) == \
+        "PageReport(d=4, R=2, D=20, mismatch at 9)"
+    check = CheckReport("demo", [("a holds", True, ""), ("b holds", False, "degree 3")])
+    assert repr(check) == "demo\n  ok   a holds\n  FAIL b holds (degree 3)"
 
 
 def test_cache_survives_clearing():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from artifact.grading import VariableSet, FlavoredSpace, FULL, SYM, SKEW
 from artifact.actions import ActionGen
 from artifact.e1 import BasisElement
+from artifact.pages import PageCell, CheckReport
 from artifact.strata import (
     Stratum, MINUS, enumerate_strata, euler_available,
     ContentPiece, column_content, content_series,
@@ -186,6 +187,8 @@ def test_value_constructor_guards(build):
     ContentPiece(True, SYM),
     BasisElement(Stratum(1, 2, 3), ContentPiece(False, FULL), ((1,), (0,))),
     ActionGen(True, -1, 1, 1, -1, 1),
+    PageCell(1, 15, 12, 9, 3, 2, 1),
+    CheckReport("demo", [("a holds", True, ""), ("b holds", False, "degree 3")]),
 ])
 def test_values_survive_copy_and_pickle(value):
     assert copy.copy(value) == value
