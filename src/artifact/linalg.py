@@ -5,9 +5,9 @@ rank first splits the rows into connected components: a union-find
 over column indices joins every column a row touches, so rows in
 different components share no column and the matrix is block-diagonal
 up to a permutation of rows and columns.  The rank is the sum of the
-block ranks.  The grid eliminates the map out of the fold column (many
-blocks of a few rows) and d0's fold sub-block (single entries); the
-collapse and generator checks eliminate the maps they assemble.
+block ranks.  The grid eliminates d0's fold sub-block (single entries),
+one fold cell per growth and the representative blocks it counts with;
+the collapse and generator checks eliminate the maps they assemble.
 
 Each block is eliminated fraction-free (cross multiplication followed
 by content reduction), so the rank over Q comes out of integer

@@ -11,13 +11,12 @@ Summing over columns gives the total cohomology rank series, which is
 compared coefficient by coefficient against the closed-form series
 encoded per residue of d.
 
-The grid assembles and eliminates only the map out of column 1.  The
-rank out of column 0 is its Euler count, certified by d0's rows on the
-fold stratum (0, d + 1); beyond the fold column every map is a sum of
-tiny blocks whose ranks _chain_ranks counts.  The grid grows in D and is
-never rebuilt: a larger max degree assembles only the new degrees.
-The chain check builds no matrices: it applies the differential twice
-to each basis element.
+The grid counts every rank.  Column 0's is its Euler count, certified
+by d0's rows on the fold stratum (0, d + 1); every other map is a sum of
+tiny blocks, one per swap orbit, whose ranks _fold_ranks and
+_chain_ranks count.  The grid grows in D and certifies only the new
+degrees; collapse_check assembles the counted cells.  The chain check
+applies the differential twice to each basis element.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
@@ -30,7 +29,7 @@ from collections import defaultdict, namedtuple
 from .grading import (
     VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap, mono_one,
-    is_orbit_rep,
+    is_orbit_rep, restrict,
 )
 from .strata import Stratum, enumerate_strata, column_content
 from .e1 import BasisElement, IndexedBasis, build_basis, column_series
@@ -61,14 +60,19 @@ def clear_cache():
     _GRID.clear()
 
 
+def _weigh(total, d, block, count, offset):
+    """total plus the rank of differential on one representative block,
+    weighted by count, the number of such blocks in each degree, shifted by offset."""
+    r = rank([differential(d, el) for el in block])
+    return total + Series([r * x for x in count.tshift(offset).c], total.D)
+
+
 def _chain_ranks(d, k, D):
     """Ranks of d out of column k >= 2 in every degree <= D, counted.
 
     There d keeps the pair (a, b), the Euler flag and the swap orbit
     {m, swap m}, so it splits into blocks of at most two elements whose
-    rank depends on m only through whether swap fixes it.  Each block
-    type's rank, that of differential on one representative, is weighted
-    by the number of such blocks in each degree.
+    rank depends on m only through whether swap fixes it.
     """
     strata = enumerate_strata(d, k)
     total = Series.zero(D)
@@ -84,9 +88,38 @@ def _chain_ranks(d, k, D):
                 ([m, mono_swap(m)], free) for m in orbit_reps(FlavoredSpace(vs, SKEW), 4)]
         for piece in column_content(s):
             for orbit, count in types:
-                r = rank([differential(d, BasisElement(t, piece, m)) for t in sheets
-                          for m in orbit if is_orbit_rep(piece.flavor, m)])
-                total = total + Series([r * x for x in count.tshift(piece.offset(s)).c], D)
+                block = [BasisElement(t, piece, m) for t in sheets for m in orbit
+                         if is_orbit_rep(piece.flavor, m)]
+                total = _weigh(total, d, block, count, piece.offset(s))
+    return total
+
+
+def _fold_ranks(d, D):
+    """Ranks of d out of the fold column in every degree <= D, counted.
+
+    d_fold restricts variables (the square neighbour takes q - swap q), so
+    it splits into one block per swap orbit {m, swap m}, whose rank depends
+    only on whether swap m = m and on the extents (i, j) of m: the numbers
+    of unprimed and primed variables up to its last nonzero exponent.
+    """
+    pieces = [(s, _piece_for(s, False)) for s in enumerate_strata(d, 1)]
+    U = VariableSet(d + 1, d + 1)  # holds every fold stratum's variables
+    total = Series.zero(D)
+    for j in range(U.nb + 1):
+        for i in range(j + 1):
+            # m has extents (i, j) iff it is p_i p'_j times a monomial of
+            # P(2i, 2j), so that ring's series count each type's orbits;
+            # p_i p'_i stands for fixed orbits, p_i p'_i^2 for free ones
+            types = [(1, _P(2 * i, 2 * j, D))] if i < j else [
+                (1, _S(2 * i, 2 * i, D) - _A(2 * i, 2 * i, D)), (2, _A(2 * i, 2 * i, D))]
+            for y, count in types:
+                m = (tuple(int(t == i - 1) for t in range(U.na)),
+                     tuple(y * (t == j - 1) for t in range(U.nb)))
+                orbit = Polynomial(U, {m: 1, mono_swap(m): 1})
+                block = [BasisElement(s, piece, mono) for s, piece in pieces
+                         for mono in restrict(orbit, s.vars).terms
+                         if is_orbit_rep(piece.flavor, mono)]
+                total = _weigh(total, d, block, count, d + 1 + 4 * (i + j))
     return total
 
 
@@ -94,15 +127,9 @@ def _grid(d, D):
     D0, sizes, ranks = entry = _GRID.get(d, (-1, {}, {}))
     if D0 >= D:
         return entry
-    # column 1 is assembled only in the degrees the cache lacks
-    for n in range(D0 + 1, D + 1):
-        A = assemble_matrix(d, 1, n)
-        if A.source.elements:
-            sizes[(1, n)] = len(A.source.elements)
-            ranks[(1, n)] = A.rank()
     # d0 kills the plain part of column 0, so its rank is at most the Euler
     # count; its rows on the fold stratum (0, d + 1) reach it (p_i -> p'_i)
-    s, t = Stratum(0, d, 0), Stratum(1, 0, d + 1)
+    [s], t = enumerate_strata(d, 0), Stratum(1, 0, d + 1)  # rejects d < 1
     piece = _piece_for(s, True)  # None for odd d
     off = piece.offset(s) if piece else 0  # = d; t's Thom degree is d + 1
     euler = space_series(piece.space(s), D).tshift(off) if piece else Series.zero(D)
@@ -115,12 +142,16 @@ def _grid(d, D):
             d, 0, s_hom(el.mono, t.vars)).items()} for el in src]
         if LinearMap(src, tgt, cols).rank() != euler[n]:
             raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
-    for k in [0, *range(2, D - d + 1)]:
-        counted = euler if k == 0 else _chain_ranks(d, k, D)
+    for k in range(max(2, D - d + 1)):
+        counted = _chain_ranks(d, k, D) if k > 1 else _fold_ranks(d, D) if k else euler
         for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted.c)):
             if size:
                 sizes[(k, n)] = size
                 ranks[(k, n)] = rk
+    # a guard per build or growth: the lowest new fold cell with Euler-free elements
+    n = max(d + 1, D0 + 1 + (d - D0) % 4)
+    if n <= D and assemble_matrix(d, 1, n).rank() != ranks[(1, n)]:
+        raise ArithmeticError("fold count differs from assembly at degree %d" % n)
     _GRID[d] = entry = (D, sizes, ranks)
     return entry
 
@@ -441,23 +472,32 @@ def chain_check(d, kmax, D):
 def collapse_check(d, D, kmin=2, kmax=5):
     """kernel = image in columns kmin..kmax, i.e. the sequence collapses.
 
-    Each checked cell is also assembled, to certify its counted rank.
+    Each checked cell and every column-1 cell is also assembled, to
+    certify its counted rank.
     """
     if max(1, D - d) < kmax:
         raise ValueError("collapse check up to column %d needs max degree "
                          "%d or more, got %d" % (kmax, d + kmax, D))
     _, sizes, ranks = _grid(d, D)
+    # column 2 reads its images from the assembled column 1, so a
+    # miscounted column 1 fails only its own entry
+    fold = [assemble_matrix(d, 1, n).rank() for n in range(D + 1)]
+    miscount = "degree %d: counted rank %d, assembled rank %d"
     entries = []
     for k in range(kmin, kmax + 1):
         bad = ""
         for n in range(D + 1):
             rk, got = ranks.get((k, n), 0), assemble_matrix(d, k, n).rank()
-            ker, im = sizes.get((k, n), 0) - rk, ranks.get((k - 1, n - 1), 0)
+            ker = sizes.get((k, n), 0) - rk
+            im = fold[n - 1] if k == 2 and n else ranks.get((k - 1, n - 1), 0)
             if rk != got:
-                bad = "degree %d: counted rank %d, assembled rank %d" % (n, rk, got)
+                bad = miscount % (n, rk, got)
             elif ker != im:
                 bad = "degree %d: kernel %d, image %d" % (n, ker, im)
             if bad:
                 break
         entries.append(("collapse column %d exact" % k, not bad, bad))
+    bad = next((miscount % (n, ranks.get((1, n), 0), got) for n, got in enumerate(fold)
+                if ranks.get((1, n), 0) != got), "")
+    entries.append(("column 1 counted rank exact", not bad, bad))
     return CheckReport("collapse check d=%d, D=%d" % (d, D), entries)

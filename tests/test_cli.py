@@ -156,6 +156,7 @@ def test_verify_reports_a_negative_e2_after_the_collapse_entries(
         "FAIL collapse column 3 exact (degree 15: counted rank 3, assembled rank 2)",
         "FAIL collapse column 4 exact (degree 12: counted rank 4, assembled rank 3)",
         "FAIL collapse column 5 exact (degree 13: kernel 3, image 4)",
+        "ok   column 1 counted rank exact",
         "FAIL exactness guards hold (image exceeds kernel at column 4 degree 12)"]
 
 

@@ -109,8 +109,8 @@ def test_split_rank_equals_unsplit_on_the_8_40_grid():
 
 @pytest.mark.parametrize("d", range(1, 17))
 def test_counted_grid_matches_per_cell_assembly(d):
-    # column 0 is counted from its Euler elements and columns >= 2 by
-    # block type; every cell's size and rank must equal those of the
+    # column 0 is counted from its Euler elements and the other columns
+    # by block type; every cell's size and rank must equal those of the
     # assembled matrix
     D = 40
     pages.clear_cache()
@@ -138,3 +138,17 @@ def test_counted_column_0_matches_assembly_at_larger_sizes(d, D):
         A = assemble_matrix(d, 0, n)
         assert sizes.get((0, n), 0) == len(A.source.elements), n
         assert ranks.get((0, n), 0) == A.rank(), n
+
+
+@pytest.mark.parametrize("d, D", [(12, 70), (14, 60)])
+def test_counted_column_1_matches_assembly_at_larger_sizes(d, D):
+    # the fold cells are the largest the grid assembled before it
+    # counted them; the block-type count must equal their rank well
+    # beyond D = 40
+    pages.clear_cache()
+    _, sizes, ranks = pages._grid(d, D)
+    pages.clear_cache()
+    for n in range(D + 1):
+        A = assemble_matrix(d, 1, n)
+        assert sizes.get((1, n), 0) == len(A.source.elements), n
+        assert ranks.get((1, n), 0) == A.rank(), n

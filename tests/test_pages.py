@@ -167,6 +167,27 @@ def test_collapse_check_catches_a_wrong_count(monkeypatch):
                               "degree 15: counted rank 3, assembled rank 2")
 
 
+def test_collapse_check_catches_a_wrong_fold_count(monkeypatch):
+    # the grid counts column 1 too; collapse_check assembles every fold
+    # cell, and column 2 reads its images from them, so a fold count off
+    # by one fails only the fold entry, naming the degree
+    real = pages._fold_ranks
+
+    def off_by_one(d, D):
+        ranks = real(d, D)
+        ranks.c[13] += 1
+        return ranks
+
+    monkeypatch.setattr(pages, "_fold_ranks", off_by_one)
+    pages.clear_cache()
+    try:
+        rep = collapse_check(4, 20)
+    finally:
+        pages.clear_cache()
+    assert [name for name, ok, _ in rep.entries if not ok] == ["column 1 counted rank exact"]
+    assert rep.entries[-1][2] == "degree 13: counted rank 5, assembled rank 4"
+
+
 def test_chain_check_names_first_failure(monkeypatch):
     assert chain_check(4, 4, 20).ok
     monkeypatch.setattr(differentials, "fold_sign", lambda a: 1)
@@ -260,13 +281,17 @@ def test_cache_survives_clearing():
 
 def test_negative_e2_raises_under_O():
     # the e2 >= 0 guard is what catches a rank that overcounts, so it
-    # must survive -O; an overcounting rank of the one assembled column
-    # trips it in that column's first cell
+    # must survive -O; a fold count above the cell's size (4) trips it
+    # in that cell, past the grid's guard cell in degree 5
     import artifact
     code = (
-        "from artifact import differentials, pages\n"
-        "differentials.LinearMap.rank = lambda self: (\n"
-        "    len(self.cols) + (self.source.column == 1))\n"
+        "from artifact import pages\n"
+        "real = pages._fold_ranks\n"
+        "def over(d, D):\n"
+        "    ranks = real(d, D)\n"
+        "    ranks.c[9] += 2\n"
+        "    return ranks\n"
+        "pages._fold_ranks = over\n"
         "try:\n"
         "    pages.e2_ranks(4, 'inf', 12)\n"
         "except ArithmeticError as e:\n"
@@ -278,7 +303,7 @@ def test_negative_e2_raises_under_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "image exceeds kernel at column 1 degree 5"
+    assert proc.stdout.strip() == "image exceeds kernel at column 1 degree 9"
 
 
 def test_short_d0_sub_block_raises_under_O():
@@ -330,31 +355,30 @@ def test_grown_grid_matches_cold_grid(d, degrees, R):
         assert total == longest[:D + 1]
 
 
-def test_growing_the_grid_assembles_only_the_new_cells(monkeypatch):
-    calls = []
-    real = pages.assemble_matrix
+def test_the_grid_assembles_one_new_fold_cell_per_growth(monkeypatch):
+    # every rank is counted: a build or growth assembles only its lowest
+    # new fold cell, as a guard, and applies d_fold to the representative
+    # blocks and that cell alone, so a larger D adds no d_fold calls
+    calls, folds = [], []
+    real, real_fold = pages.assemble_matrix, differentials.d_fold
+    monkeypatch.setattr(pages, "assemble_matrix",
+                        lambda d, k, n: calls.append((k, n)) or real(d, k, n))
+    monkeypatch.setattr(differentials, "d_fold",
+                        lambda d, el: folds.append(el) or real_fold(d, el))
 
-    def counting(d, k, n):
-        calls.append((d, k, n))
-        return real(d, k, n)
-
-    monkeypatch.setattr(pages, "assemble_matrix", counting)
-
-    def assembled(*degrees, cold=True):
+    def grid(*degrees, cold=True):
         if cold:
             pages.clear_cache()
-        del calls[:]
+        del calls[:], folds[:]
         for D in degrees:
             e2_ranks(4, "inf", D)
-        return list(calls)
+        return list(calls), len(folds)
 
-    small, large = assembled(20), assembled(30)
-    assembled(20)
-    grown = assembled(30, cold=False)
-    assert grown and sorted(grown) == sorted(set(large) - set(small))
-    assert assembled(25, 30, 12, cold=False) == []
-    # column 0 is counted, so the grid assembles only out of column 1
-    assert all(k == 1 for _, k, _ in small + large + grown)
+    small, large = grid(20), grid(30)
+    assert small[0] == large[0] == [(1, 5)] and small[1] == large[1] > 0
+    grid(20)
+    assert grid(30, cold=False)[0] == [(1, 21)]
+    assert grid(25, 30, 12, cold=False) == ([], 0)
 
 
 @pytest.mark.parametrize("R", [0, -1, "0"])
