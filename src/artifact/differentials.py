@@ -88,11 +88,12 @@ def _expand(out, s, euler, poly, coef=1):
     piece = _piece_for(s, euler)
     if piece is None:
         raise ArithmeticError("image hits a stratum without matching content")
-    if piece.flavor == SYM and swap(poly) != poly:
-        raise ArithmeticError("image claimed symmetric is not")
-    if piece.flavor == SKEW and swap(poly) != -poly:
-        raise ArithmeticError("image claimed skew is not")
-    for m, c in poly.terms.items():
+    terms = poly.terms
+    sign = {SYM: 1, SKEW: -1}.get(piece.flavor)
+    if sign and any(terms.get(mono_swap(m), 0) != sign * c for m, c in terms.items()):
+        raise ArithmeticError("image claimed %s is not"
+                              % ("symmetric" if sign == 1 else "skew"))
+    for m, c in terms.items():
         if not is_orbit_rep(piece.flavor, m):
             continue
         el = BasisElement(s, piece, m)

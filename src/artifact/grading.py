@@ -208,14 +208,14 @@ def restrict(p, to):
     Monomials that use a variable missing from the target map to 0; the
     rest are carried over unchanged.  Either range may shrink or grow.
     """
+    na, nb, va = to.na, to.nb, p.vars
+    cut_a, cut_b = (0,) * (va.na - na), (0,) * (va.nb - nb)
+    pad_a, pad_b = (0,) * (na - va.na), (0,) * (nb - va.nb)
     terms = {}
     for (es, fs), c in p.terms.items():
-        if any(es[to.na:]) or any(fs[to.nb:]):
-            continue
-        es2 = tuple(es[: to.na]) + (0,) * (to.na - len(es))
-        fs2 = tuple(fs[: to.nb]) + (0,) * (to.nb - len(fs))
-        m = (es2, fs2)
-        terms[m] = terms.get(m, 0) + c
+        if es[na:] == cut_a and fs[nb:] == cut_b:
+            m = (es[:na] + pad_a, fs[:nb] + pad_b)
+            terms[m] = terms.get(m, 0) + c
     return Polynomial(to, terms)
 
 

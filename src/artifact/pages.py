@@ -14,9 +14,12 @@ encoded per residue of d.
 The grid counts every rank.  Column 0's is its Euler count, certified
 by d0's rows on the fold stratum (0, d + 1); every other map is a sum of
 tiny blocks, one per swap orbit, whose ranks _fold_ranks and
-_chain_ranks count.  The grid grows in D and certifies only the new
-degrees; collapse_check assembles the counted cells.  The chain check
-applies the differential twice to each basis element.
+_chain_ranks count.  _chain_ranks counts columns 2..5 only: the rules
+read a level >= 2 only mod 4 and column k's Thom class sits in degree
+d + k, so column k in degree n is column k - 4 in degree n - 4.  The
+grid grows in D and certifies only the new degrees; collapse_check
+assembles the counted cells.  The chain check applies the differential
+twice to each basis element.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
@@ -143,6 +146,14 @@ def _grid(d, D):
         if LinearMap(src, tgt, cols).rank() != euler[n]:
             raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
     for k in range(max(2, D - d + 1)):
+        if k > 5:
+            # column k - 4 moved up four degrees (see the module
+            # docstring); fill only the degrees the grid lacks
+            for n in range(max(d + k, D0 + 1), D + 1):
+                if (k - 4, n - 4) in sizes:
+                    sizes[(k, n)] = sizes[(k - 4, n - 4)]
+                    ranks[(k, n)] = ranks[(k - 4, n - 4)]
+            continue
         counted = _chain_ranks(d, k, D) if k > 1 else _fold_ranks(d, D) if k else euler
         for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted.c)):
             if size:
@@ -473,7 +484,7 @@ def collapse_check(d, D, kmin=2, kmax=5):
     """kernel = image in columns kmin..kmax, i.e. the sequence collapses.
 
     Each checked cell and every column-1 cell is also assembled, to
-    certify its counted rank.
+    certify its counted rank; columns 2..5 are the ones the grid counts.
     """
     if max(1, D - d) < kmax:
         raise ValueError("collapse check up to column %d needs max degree "

@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import differentials, pages
-from artifact.grading import Series
+from artifact.differentials import _piece_for
+from artifact.e1 import column_series
+from artifact.grading import Series, space_series
 from artifact.loopspace import loopspace_series
 from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes,
     verify_generators, chain_check, collapse_check, PageReport, CheckReport,
 )
+from artifact.strata import enumerate_strata
 
 
 def test_d4_full_sequence_series():
@@ -159,12 +162,17 @@ def test_collapse_check_catches_a_wrong_count(monkeypatch):
     pages.clear_cache()
     try:
         rep = collapse_check(4, 20)
+        _, _, ranks = pages._grid(4, 20)
     finally:
         pages.clear_cache()
     assert not rep.ok
     assert rep.entries[0] == ("collapse column 2 exact", True, "")
     assert rep.entries[1] == ("collapse column 3 exact", False,
                               "degree 15: counted rank 3, assembled rank 2")
+    # column 7 is column 3 moved up four degrees, so the miscount reaches
+    # the ranks e2_ranks reads there; e2_ranks itself stops earlier, at
+    # the negative cell (3, 15)
+    assert ranks[(7, 19)] == ranks[(3, 15)] == 3
 
 
 def test_collapse_check_catches_a_wrong_fold_count(monkeypatch):
@@ -353,6 +361,53 @@ def test_grown_grid_matches_cold_grid(d, degrees, R):
     longest = warm[degrees.index(top)][1]
     for D, (_, total) in zip(degrees, warm):
         assert total == longest[:D + 1]
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_columns_repeat_with_period_4(d):
+    # the grid counts columns 2..5 and moves them up four degrees; a rule
+    # that read a level beyond its residue mod 4 would fail here
+    D = 60
+    for k in range(6, 14):
+        assert column_series(d, k, D) == column_series(d, k - 4, D).tshift(4), k
+        assert pages._chain_ranks(d, k, D) == \
+            pages._chain_ranks(d, k - 4, D).tshift(4), k
+
+
+def _per_column_grid(d, D):
+    # the grid counted column by column, with no shift: column 0 by its
+    # Euler elements, column 1 by _fold_ranks, every k >= 2 by _chain_ranks
+    [s] = enumerate_strata(d, 0)
+    piece = _piece_for(s, True)
+    euler = space_series(piece.space(s), D).tshift(piece.offset(s)) \
+        if piece else Series.zero(D)
+    sizes, ranks = {}, {}
+    for k in range(max(2, D - d + 1)):
+        counted = pages._chain_ranks(d, k, D) if k > 1 else \
+            pages._fold_ranks(d, D) if k else euler
+        for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted.c)):
+            if size:
+                sizes[(k, n)] = size
+                ranks[(k, n)] = rk
+    return sizes, ranks
+
+
+@pytest.mark.parametrize("d, D", [(d, 60) for d in range(1, 17)] + [(12, 100)])
+def test_shifted_grid_matches_per_column_count(d, D):
+    pages.clear_cache()
+    _, sizes, ranks = pages._grid(d, D)
+    pages.clear_cache()
+    assert (sizes, ranks) == _per_column_grid(d, D)
+
+
+def test_grid_grown_to_100_matches_cold_grid():
+    # every growth fills only the new degrees of the shifted columns
+    pages.clear_cache()
+    for D in range(40, 101, 10):
+        grown = pages._grid(6, D)
+    pages.clear_cache()
+    assert pages._grid(6, 100) == grown
+    pages.clear_cache()
 
 
 def test_the_grid_assembles_one_new_fold_cell_per_growth(monkeypatch):
