@@ -21,7 +21,7 @@ from .actions import oracle_crosscheck
 from .e1 import column_series
 from .pages import (
     e2_ranks, generator_classes, verify_generators, chain_check, collapse_check,
-    CheckReport,
+    assemble_columns, CheckReport,
 )
 from .loopspace import loopspace_series
 
@@ -118,13 +118,15 @@ def _cmd_verify(args):
         entries.append(("oracle level %d" % level, not bad,
                         "%s %s" % bad[0] if bad else ""))
     try:
-        entries += chain_check(d, min(5, K - 1), D).entries
-        entries += collapse_check(d, D, 2, min(5, K)).entries
+        # the three checks below read one assembly of columns 0..6
+        maps = assemble_columns(d, range(min(6, K) + 1), D)
+        entries += chain_check(d, min(5, K - 1), D, maps=maps).entries
+        entries += collapse_check(d, D, 2, min(5, K), maps=maps).entries
         mis = e2_ranks(d, args.r, D).mismatch
         entries.append(("closed form matches computed ranks", mis is None,
                         "" if mis is None else
                         "first failing degree %d (all columns summed)" % mis))
-        entries += verify_generators(d, D).entries
+        entries += verify_generators(d, D, maps=maps).entries
     except ArithmeticError as e:
         entries.append(("exactness guards hold", False, str(e)))
     rep = CheckReport("verify d=%d, D=%d" % (d, D), entries)

@@ -37,7 +37,7 @@ or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 from collections import namedtuple
 
 from .grading import (
-    VariableSet, Polynomial, mono_swap, swap, restrict, s_hom, is_orbit_rep,
+    VariableSet, Polynomial, mono_swap, restrict_terms, s_hom, is_orbit_rep,
     FULL, SYM, SKEW,
 )
 from .strata import Stratum, column_content, PLUS, MINUS
@@ -56,17 +56,29 @@ COVER_FACTOR = 2
 
 def element_poly(el):
     """The polynomial a basis element stands for: m, m + swap m, or m - swap m."""
-    vs = el.stratum.vars
+    return Polynomial(el.stratum.vars, _element_terms(el))
+
+
+def _element_terms(el):
+    # element_poly's terms, the {monomial: int} dict the rules work on
     m = el.mono
-    p = Polynomial.from_mono(vs, m)
     if el.piece.flavor == FULL:
-        return p
+        return {m: 1}
     sm = mono_swap(m)
     if el.piece.flavor == SYM:
-        return p if sm == m else p + Polynomial.from_mono(vs, sm)
+        return {m: 1} if sm == m else {m: 1, sm: 1}
     if sm == m:
         raise ValueError("skew element on the swap-fixed monomial %r" % (m,))
-    return p - Polynomial.from_mono(vs, sm)
+    return {m: 1, sm: -1}
+
+
+def _plus_swap(terms, sign):
+    """terms + sign * swap(terms), zero terms dropped."""
+    out = dict(terms)
+    for m, c in terms.items():
+        sm = mono_swap(m)
+        out[sm] = out.get(sm, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
 
 
 def _piece_for(s, euler):
@@ -76,19 +88,19 @@ def _piece_for(s, euler):
     return None
 
 
-def _expand(out, s, euler, poly, coef=1):
-    """Accumulate coef * (U_s . e^euler . poly) as basis coordinates.
+def _expand(out, s, euler, terms, coef=1):
+    """Accumulate coef * (U_s . e^euler . terms) as basis coordinates.
 
-    Full pieces take the coefficients as they stand; symmetric and skew
-    pieces read off the coefficient at each orbit representative, after
-    checking that poly really lies in the claimed eigenspace.
+    terms maps monomials of s to nonzero ints.  Full pieces take the
+    coefficients as they stand; symmetric and skew pieces read off the
+    coefficient at each orbit representative, after checking that terms
+    really lies in the claimed eigenspace.
     """
-    if poly.is_zero() or coef == 0:
+    if not terms or coef == 0:
         return
     piece = _piece_for(s, euler)
     if piece is None:
         raise ArithmeticError("image hits a stratum without matching content")
-    terms = poly.terms
     sign = {SYM: 1, SKEW: -1}.get(piece.flavor)
     if sign and any(terms.get(mono_swap(m), 0) != sign * c for m, c in terms.items()):
         raise ArithmeticError("image claimed %s is not"
@@ -112,7 +124,7 @@ def restriction_expansion(d, a_top, p):
     out = {}
     for a in range(a_top + 1):
         t = Stratum(1, a, d + 1 - a)
-        _expand(out, t, False, restrict(p, t.vars), fold_sign(a))
+        _expand(out, t, False, restrict_terms(p.terms, p.vars, t.vars), fold_sign(a))
     return out
 
 
@@ -139,15 +151,15 @@ def d_fold(d, el):
     if el.piece.euler:
         return out
     a, b = s.a, s.b
-    p = element_poly(el)
+    p = _element_terms(el)
     if a:
         t = Stratum(2, a - 1, b)
-        _expand(out, t, False, restrict(p, t.vars))
+        _expand(out, t, False, restrict_terms(p, s.vars, t.vars))
     if a < b:
         t = Stratum(2, a, b - 1)
-        q = restrict(p, t.vars)
+        q = restrict_terms(p, s.vars, t.vars)
         # a == b - 1 only at the even-d top, whose neighbour (a, a) is square
-        _expand(out, t, False, q - swap(q) if a == b - 1 else q)
+        _expand(out, t, False, _plus_swap(q, -1) if a == b - 1 else q)
     return out
 
 
@@ -161,7 +173,7 @@ def d_even_col(d, el):
     out = {}
     if (r % 2 == 0) == el.piece.euler:
         return out
-    p = element_poly(el)
+    p = _element_terms(el)
     for sign in (PLUS, MINUS) if s.a != s.b else (None,):
         _expand(out, Stratum(lv + 1, s.a, s.b, sign), el.piece.euler, p, COVER_FACTOR)
     return out
@@ -176,7 +188,7 @@ def d_odd_col(d, el):
     r = (lv - 1) // 2
     out = {}
     t = Stratum(lv + 1, s.a, s.b)
-    p = element_poly(el)
+    p = _element_terms(el)
     if s.a != s.b:
         sheet = 1 if s.sign == PLUS else -1
         _expand(out, t, el.piece.euler, p, sheet)
@@ -185,9 +197,9 @@ def d_odd_col(d, el):
         raise ArithmeticError("Euler flag %r at a = b in column %d"
                               % (el.piece.euler, lv))
     elif r % 2 == 0:
-        _expand(out, t, False, p - swap(p))
+        _expand(out, t, False, _plus_swap(p, -1))
     else:
-        _expand(out, t, True, p + swap(p))
+        _expand(out, t, True, _plus_swap(p, 1))
     return out
 
 
@@ -203,23 +215,6 @@ def differential(d, el):
     return d_odd_col(d, el)
 
 
-def apply_differential(d, vec):
-    """The differential of an integer combination {BasisElement: int}.
-
-    Terms that cancel are dropped, so the image is {} exactly when it is
-    zero.
-    """
-    out = {}
-    for el, c in vec.items():
-        for tel, tc in differential(d, el).items():
-            v = out.get(tel, 0) + c * tc
-            if v:
-                out[tel] = v
-            else:
-                del out[tel]
-    return out
-
-
 class LinearMap(namedtuple("LinearMap", "source target cols")):
     """One differential as an integer matrix in the indexed bases.
 
@@ -231,6 +226,14 @@ class LinearMap(namedtuple("LinearMap", "source target cols")):
 
     def rank(self):
         return rank(self.cols)
+
+    def apply(self, vec):
+        """The image of {source index: int} as {target index: int}, zeros dropped."""
+        out = {}
+        for j, c in vec.items():
+            for i, v in self.cols[j].items():
+                out[i] = out.get(i, 0) + c * v
+        return {i: v for i, v in out.items() if v}
 
     def __repr__(self):
         return "LinearMap(%d x %d, k=%d -> %d, n=%d -> %d)" % (

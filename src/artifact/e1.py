@@ -62,6 +62,9 @@ class IndexedBasis:
         return iter(self.elements)
 
     def position(self, el):
+        if el not in self.index:
+            raise ArithmeticError("%r is not in the basis of column %d degree %d"
+                                  % (el, self.column, self.degree))
         return self.index[el]
 
     def __repr__(self):

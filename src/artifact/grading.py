@@ -208,15 +208,17 @@ def restrict(p, to):
     Monomials that use a variable missing from the target map to 0; the
     rest are carried over unchanged.  Either range may shrink or grow.
     """
-    na, nb, va = to.na, to.nb, p.vars
+    return Polynomial(to, restrict_terms(p.terms, p.vars, to))
+
+
+def restrict_terms(terms, va, to):
+    """restrict on a {monomial: int} dict in the variables va, as a dict."""
+    na, nb = to.na, to.nb
     cut_a, cut_b = (0,) * (va.na - na), (0,) * (va.nb - nb)
     pad_a, pad_b = (0,) * (na - va.na), (0,) * (nb - va.nb)
-    terms = {}
-    for (es, fs), c in p.terms.items():
-        if es[na:] == cut_a and fs[nb:] == cut_b:
-            m = (es[:na] + pad_a, fs[:nb] + pad_b)
-            terms[m] = terms.get(m, 0) + c
-    return Polynomial(to, terms)
+    # kept monomials are zero past the target ranges, so none collide
+    return {(es[:na] + pad_a, fs[:nb] + pad_b): c for (es, fs), c in terms.items()
+            if es[na:] == cut_a and fs[nb:] == cut_b}
 
 
 def s_hom(m, target):

@@ -17,9 +17,10 @@ tiny blocks, one per swap orbit, whose ranks _fold_ranks and
 _chain_ranks count.  _chain_ranks counts columns 2..5 only: the rules
 read a level >= 2 only mod 4 and column k's Thom class sits in degree
 d + k, so column k in degree n is column k - 4 in degree n - 4.  The
-grid grows in D and certifies only the new degrees; collapse_check
-assembles the counted cells.  The chain check applies the differential
-twice to each basis element.
+grid grows in D and certifies only the new degrees.  verify assembles
+columns 0..6 once (assemble_columns) for three checks: chain_check
+multiplies consecutive matrices, collapse_check ranks the counted cells
+and verify_generators reads d0's images and the fold matrices.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
@@ -32,13 +33,13 @@ from collections import defaultdict, namedtuple
 from .grading import (
     VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap, mono_one,
-    is_orbit_rep, restrict,
+    is_orbit_rep, restrict_terms,
 )
 from .strata import Stratum, enumerate_strata, column_content
-from .e1 import BasisElement, IndexedBasis, build_basis, column_series
+from .e1 import BasisElement, IndexedBasis, column_series
 from .differentials import (
-    differential, apply_differential, assemble_matrix, restriction_expansion,
-    element_poly, _piece_for, LinearMap,
+    differential, assemble_matrix, restriction_expansion, element_poly,
+    _piece_for, LinearMap,
 )
 from .linalg import rank
 
@@ -118,9 +119,9 @@ def _fold_ranks(d, D):
             for y, count in types:
                 m = (tuple(int(t == i - 1) for t in range(U.na)),
                      tuple(y * (t == j - 1) for t in range(U.nb)))
-                orbit = Polynomial(U, {m: 1, mono_swap(m): 1})
+                orbit = {m: 1, mono_swap(m): 1}
                 block = [BasisElement(s, piece, mono) for s, piece in pieces
-                         for mono in restrict(orbit, s.vars).terms
+                         for mono in restrict_terms(orbit, U, s.vars)
                          if is_orbit_rep(piece.flavor, mono)]
                 total = _weigh(total, d, block, count, d + 1 + 4 * (i + j))
     return total
@@ -422,35 +423,39 @@ class CheckReport(namedtuple("CheckReport", "title entries")):
         return "\n".join([self.title] + ["  " + l for l in self.lines()])
 
 
-def verify_generators(d, D):
+def assemble_columns(d, columns, D):
+    """{(k, n): assemble_matrix(d, k, n)} for k in columns and -1 <= n <= D."""
+    return {(k, n): assemble_matrix(d, k, n) for k in columns for n in range(-1, D + 1)}
+
+
+def verify_generators(d, D, *, maps=None):
     """Check the generator families against the computed second page.
 
     Three checks: every class lies in the kernel of the fold
     differential; for even d the sigma classes lie in the image of d0;
     the remaining classes span a complement of that image whose rank
-    matches e2(column 1) in every degree up to D.
+    matches e2(column 1) in every degree up to D.  maps holds columns 0
+    and 1 of assemble_columns(d, ..., D).
     """
     _, sizes, ranks = _grid(d, D)
     classes = generator_classes(d, D)
-    bad_kernel = sum(1 for cl in classes if apply_differential(d, cl.expansion))
-    entries = [("generators: all classes lie in ker d1", bad_kernel == 0,
-                "" if bad_kernel == 0 else
-                "%d classes, %d failures" % (len(classes), bad_kernel))]
-
+    maps = maps or assemble_columns(d, (0, 1), D)
     by_deg = defaultdict(list)
     for cl in classes:
         by_deg[cl.degree].append(cl)
+    bad_kernel = 0
     sigma_ok = True
     span_bad = None
     for n in range(D + 1):
         # d0 is zero for odd d (column 0 has no Euler piece), so its
         # image rows are empty there; the grid already holds their rank
-        A = assemble_matrix(d, 0, n - 1)
-        image_rows = [col for col in A.cols if col]
+        image_rows = [col for col in maps[(0, n - 1)].cols if col]
         im = ranks.get((0, n - 1), 0)
+        fold = maps[(1, n)]
         vecs = {"sigma": [], "rest": []}
         for cl in by_deg.get(n, []):
-            vec = {A.target.position(el): c for el, c in cl.expansion.items()}
+            vec = {fold.source.position(el): c for el, c in cl.expansion.items()}
+            bad_kernel += bool(fold.apply(vec))
             key = "sigma" if (d % 2 == 0 and cl.kind == "sigma") else "rest"
             vecs[key].append(vec)
         if vecs["sigma"] and rank(image_rows + vecs["sigma"]) != im:
@@ -459,6 +464,9 @@ def verify_generators(d, D):
         e2 = sizes.get((1, n), 0) - ranks.get((1, n), 0) - im
         if got != e2 and span_bad is None:
             span_bad = (n, got, e2)
+    entries = [("generators: all classes lie in ker d1", bad_kernel == 0,
+                "" if bad_kernel == 0 else
+                "%d classes, %d failures" % (len(classes), bad_kernel))]
     if d % 2 == 0:
         entries.append(("generators: sigma classes lie in im d0", sigma_ok, ""))
     entries.append((
@@ -468,37 +476,41 @@ def verify_generators(d, D):
     return CheckReport("generator check d=%d, D=%d" % (d, D), entries)
 
 
-def chain_check(d, kmax, D):
-    """d(d(x)) = 0 out of columns 0..kmax in every degree below D."""
+def chain_check(d, kmax, D, *, maps=None):
+    """d(d(x)) = 0 out of columns 0..kmax in every degree below D, as the
+    products d(k + 1, n + 1) d(k, n) of assemble_columns' matrices."""
+    maps = maps or assemble_columns(d, range(kmax + 2), D)
     # column outer, degree inner: the first failing cell is the
     # smallest in (column, degree) order
     bad = next(((k, n) for k in range(kmax + 1) for n in range(D)
-                if any(apply_differential(d, differential(d, el))
-                       for el in build_basis(d, k, n))), None)
+                if any(maps[(k + 1, n + 1)].apply(col) for col in maps[(k, n)].cols)),
+               None)
     return CheckReport("chain check d=%d, D=%d" % (d, D), [(
         "chain condition d(d(x)) = 0", bad is None,
         "" if bad is None else "column %d degree %d" % bad)])
 
 
-def collapse_check(d, D, kmin=2, kmax=5):
+def collapse_check(d, D, kmin=2, kmax=5, *, maps=None):
     """kernel = image in columns kmin..kmax, i.e. the sequence collapses.
 
     Each checked cell and every column-1 cell is also assembled, to
     certify its counted rank; columns 2..5 are the ones the grid counts.
+    maps holds columns 1..kmax of assemble_columns(d, ..., D).
     """
     if max(1, D - d) < kmax:
         raise ValueError("collapse check up to column %d needs max degree "
                          "%d or more, got %d" % (kmax, d + kmax, D))
     _, sizes, ranks = _grid(d, D)
+    maps = maps or assemble_columns(d, range(1, kmax + 1), D)
     # column 2 reads its images from the assembled column 1, so a
     # miscounted column 1 fails only its own entry
-    fold = [assemble_matrix(d, 1, n).rank() for n in range(D + 1)]
+    fold = [maps[(1, n)].rank() for n in range(D + 1)]
     miscount = "degree %d: counted rank %d, assembled rank %d"
     entries = []
     for k in range(kmin, kmax + 1):
         bad = ""
         for n in range(D + 1):
-            rk, got = ranks.get((k, n), 0), assemble_matrix(d, k, n).rank()
+            rk, got = ranks.get((k, n), 0), maps[(k, n)].rank()
             ker = sizes.get((k, n), 0) - rk
             im = fold[n - 1] if k == 2 and n else ranks.get((k - 1, n - 1), 0)
             if rk != got:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -97,6 +98,31 @@ def test_generators_bytes_are_pinned(capsys, dim, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("dim, degree, code, digest", [
+    (1, 40, 0, "bd3dd7a22e7f8372eed7d5037f3a26b31a2b467a0785688f74327bd37e4a149a"),
+    (2, 40, 0, "8c5a36f1047fe02a7d75c99f08adb3da6341216407463bac0405d8b941fed0df"),
+    (3, 40, 0, "2e321db683c19d0d1e9f0ead2bb6c50264c8570ac791f01720cdf8c10f209b00"),
+    (4, 40, 0, "15ab3dd299c77422b3c9b8c5242789a4f612c703c5c5d02eef0654aa8907e0d2"),
+    (5, 40, 0, "e9861a6f07f6226d83711479523571015ecba1b104e1ceb64aeec1e3ad47e41c"),
+    (6, 40, 0, "0cbcad548c4cf12585fa2e72e159b4e12a6893754c28bb7bd22a1661331d8566"),
+    (7, 40, 0, "8d61a9468624c6533871bead817f93646f13c9678a389a4b6c2254d17ebc2ba2"),
+    (8, 40, 1, "7509ac5e95f37f75e8f87e6d598cfa70bf34fe8a07d31a518d112f2ed307a7c8"),
+    (9, 40, 0, "739e520912d83071338fb23c85e22ab5e973aa04e4f1ef34c745634c7a4b9e56"),
+    (10, 40, 1, "ff734bb0e2dbad05f55ca7ff2f8047599622a91e23d53da4e370a0b7f945ac11"),
+    (11, 40, 0, "8ead8d8c2ba27861f9b8bbbc6a39cc66dc990a08b5e3f24e8cabce7c9a15ebbe"),
+    (12, 40, 1, "fe8d56645d83de804ad38a81fb6a3d7d616b27a26a6eaa3ef9dade7e3023bfa5"),
+    (7, 80, 0, "97fbd4c2faa3fb19fe5bde290edb4a65d12b3fb484373fb63e5732dc8e8cd5d5"),
+    (8, 60, 1, "8f8851b743e32c660740f76ddf4b741a5cc31f2e7662e4f8fc4ec37100325113"),
+])
+def test_verify_json_bytes_are_pinned(capsys, dim, degree, code, digest):
+    # every entry and detail of the battery, including the even-d
+    # generator-span failures, at the sizes the benchmark certifies
+    got, out = run_cli(capsys, "verify", "--dim", str(dim), "--max-degree",
+                       str(degree), "--format", "json")
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_oracle_ok(capsys):
     code, out = run_cli(capsys, "oracle", "--dim", "5", "--level", "2",
                         "--max-degree", "16")
@@ -171,6 +197,37 @@ def test_verify_reports_a_short_d0_sub_block(capsys, monkeypatch, fresh_grid):
     assert code == 1 and err == ""
     assert out.splitlines() == _CHECKS_BEFORE_COLLAPSE + [
         "FAIL exactness guards hold (d0 sub-block is not of full rank at degree 12)"]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_verify_reports_an_image_outside_the_target_basis(flags):
+    # d_even_col with its first image term raised by one p'_1: the term
+    # leaves the target basis, and the assembly every check reads names it
+    import artifact
+    code = (
+        "import sys\n"
+        "from artifact import differentials\n"
+        "from artifact.cli import main\n"
+        "real = differentials.d_even_col\n"
+        "def raised(d, el):\n"
+        "    out = real(d, el)\n"
+        "    if out:\n"
+        "        tel, c = next(iter(out.items()))\n"
+        "        del out[tel]\n"
+        "        es, fs = tel.mono\n"
+        "        out[tel._replace(mono=(es, (fs[0] + 1,) + fs[1:]))] = c\n"
+        "    return out\n"
+        "differentials.d_even_col = raised\n"
+        "sys.exit(main(['verify', '--dim', '4', '--max-degree', '30']))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable] + flags + ["-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "ok   oracle level %d" % level for level in range(1, 8)] + [
+        "FAIL exactness guards hold (U+_{0,4,3}.e.p'_1 is not in the basis "
+        "of column 3 degree 11)"]
 
 
 def test_verify_json_rows_are_the_library_entries(capsys):

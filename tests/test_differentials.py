@@ -4,22 +4,42 @@ import hashlib
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import differentials
 from artifact.grading import Polynomial, swap, s_hom
 from artifact.strata import Stratum
 from artifact.e1 import build_basis
 from artifact.differentials import (
     fold_sign, COVER_FACTOR, element_poly, d0, d_fold,
-    differential, apply_differential, assemble_matrix, _expand,
+    differential, assemble_matrix, _expand,
 )
+from artifact.pages import chain_check
 
 
 def _by_name(image):
     return {repr(el): c for el, c in image.items()}
+
+
+def _apply_differential(d, vec):
+    """The differential of an integer combination {BasisElement: int}.
+
+    The element-wise reference for chain_check's matrix products: terms
+    that cancel are dropped, so the image is {} exactly when it is zero.
+    """
+    out = {}
+    for el, c in vec.items():
+        for tel, tc in differential(d, el).items():
+            v = out.get(tel, 0) + c * tc
+            if v:
+                out[tel] = v
+            else:
+                del out[tel]
+    return out
 
 
 class TestD0:
@@ -58,7 +78,8 @@ class TestD0:
             out = {}
             for a in range(d // 2 + 1):
                 t = Stratum(1, a, d + 1 - a)
-                _expand(out, t, False, s_hom((el.mono[0], ()), t.vars), fold_sign(a))
+                _expand(out, t, False, s_hom((el.mono[0], ()), t.vars).terms,
+                        fold_sign(a))
             return out
 
         seen = 0
@@ -171,7 +192,22 @@ class TestMatrices:
     @settings(max_examples=40, deadline=None)
     def test_chain_condition_sampled(self, d, k, n):
         for el in build_basis(d, k, n):
-            assert apply_differential(d, differential(d, el)) == {}, el
+            assert _apply_differential(d, differential(d, el)) == {}, el
+
+    @given(st.integers(1, 9), st.integers(0, 5), st.integers(0, 30),
+           st.sampled_from([fold_sign, lambda a: 1]), st.sampled_from([COVER_FACTOR, 0]))
+    @settings(max_examples=40, deadline=None)
+    def test_chain_check_is_d_of_d_per_element(self, d, kmax, D, sign, cover):
+        # chain_check multiplies assembled matrices; by definition it names
+        # the first (column, degree) below D with an element x of d(d(x)) != 0,
+        # also under the sign and covering-factor mutations
+        with mock.patch.multiple(differentials, fold_sign=sign, COVER_FACTOR=cover):
+            bad = next(((k, n) for k in range(kmax + 1) for n in range(D)
+                        if any(_apply_differential(d, differential(d, el))
+                               for el in build_basis(d, k, n))), None)
+            rep = chain_check(d, kmax, D)
+        assert rep.entries == [("chain condition d(d(x)) = 0", bad is None,
+                                "" if bad is None else "column %d degree %d" % bad)]
 
     @given(st.integers(3, 6), st.integers(0, 4), st.integers(4, 14))
     @settings(max_examples=40, deadline=None)
@@ -210,10 +246,9 @@ def test_expand_guards_survive_O():
     # instead of reading off wrong orbit coordinates
     import artifact
     code = (
-        "from artifact.grading import Polynomial, VariableSet\n"
         "from artifact.strata import Stratum\n"
         "from artifact.differentials import _expand\n"
-        "p1 = Polynomial.from_mono(VariableSet(2, 2), ((1,), (0,)))\n"
+        "p1 = {((1,), (0,)): 1}\n"
         "for s, euler in ((Stratum(1, 2, 2), True), (Stratum(1, 2, 2), False),\n"
         "                 (Stratum(1, 1, 4), True)):\n"
         "    out = {}\n"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import differentials, pages
-from artifact.differentials import _piece_for
+from artifact.differentials import _piece_for, LinearMap
 from artifact.e1 import column_series
 from artifact.grading import Series, space_series
 from artifact.loopspace import loopspace_series
@@ -204,16 +204,17 @@ def test_chain_check_names_first_failure(monkeypatch):
                             "column 0 degree 4")]
 
 
-def test_chain_check_reports_smallest_failure_across_diagonals(monkeypatch):
+def test_chain_check_reports_smallest_failure_across_diagonals():
     # failures on three diagonals; a walk with the degree outermost
     # would meet (3, 1) first, but the report must name the smallest
-    # in (column, degree) order
+    # in (column, degree) order.  Every cell maps one element; its column
+    # is nonzero at a failing cell and right above one, so the product
+    # d(k + 1, n + 1) d(k, n) is nonzero exactly at the failing cells
     failing = {(3, 1), (2, 3), (1, 9), (1, 12)}
-    monkeypatch.setattr(pages, "build_basis", lambda d, k, n: [(k, n)])
-    monkeypatch.setattr(pages, "differential", lambda d, cell: cell)
-    monkeypatch.setattr(pages, "apply_differential",
-                        lambda d, cell: {cell: 1} if cell in failing else {})
-    assert chain_check(4, 4, 20).entries[0][2] == "column 1 degree 9"
+    maps = {(k, n): LinearMap(None, None, [{0: 1} if {(k, n), (k - 1, n - 1)} & failing
+                                           else {}])
+            for k in range(6) for n in range(-1, 21)}
+    assert chain_check(4, 4, 20, maps=maps).entries[0][2] == "column 1 degree 9"
 
 
 @pytest.mark.parametrize("d,D,count", [(4, 18, 8), (5, 18, 13),
@@ -227,6 +228,23 @@ def test_generators_verify(d):
     D = 20 if d == 6 else 18
     rep = verify_generators(d, D)
     assert rep.ok, "\n".join(rep.lines())
+
+
+@pytest.mark.parametrize("d,D", [(5, 18), (6, 20)])
+def test_a_changed_class_coefficient_fails_the_kernel_check(monkeypatch, d, D):
+    # the kernel check multiplies the fold matrix at a class's degree by
+    # the class vector: one coefficient raised at an element that d_fold
+    # does not kill takes that class out of the kernel
+    classes = generator_classes(d, D)
+    i, el = next((i, el) for i, cl in enumerate(classes) for el in cl.expansion
+                 if differentials.differential(d, el))
+    expansion = dict(classes[i].expansion)
+    expansion[el] += 1
+    classes[i] = classes[i]._replace(expansion=expansion)
+    monkeypatch.setattr(pages, "generator_classes", lambda d, D: classes)
+    assert verify_generators(d, D).entries[0] == (
+        "generators: all classes lie in ker d1", False,
+        "%d classes, 1 failures" % len(classes))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
