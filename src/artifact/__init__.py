@@ -13,9 +13,9 @@ and there are no floats or fractions anywhere.
 __version__ = "0.1.0"
 
 from .grading import (
-    VariableSet, Polynomial, Series, FlavoredSpace,
+    VariableSet, Series, FlavoredSpace,
     FULL, SYM, SKEW,
-    enumerate_monomials, space_series, free_gca_series, swap, s_hom, restrict,
+    enumerate_monomials, space_series, free_gca_series, s_hom,
 )
 from .strata import Stratum, ContentPiece, enumerate_strata, euler_available, column_content
 from .actions import symmetry_action, invariant_series, oracle_crosscheck

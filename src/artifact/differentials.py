@@ -37,7 +37,7 @@ or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 from collections import namedtuple
 
 from .grading import (
-    VariableSet, Polynomial, mono_swap, restrict_terms, s_hom, is_orbit_rep,
+    VariableSet, mono_swap, restrict_terms, s_hom, is_orbit_rep,
     FULL, SYM, SKEW,
 )
 from .strata import Stratum, column_content, PLUS, MINUS
@@ -54,13 +54,8 @@ def fold_sign(a):
 COVER_FACTOR = 2
 
 
-def element_poly(el):
-    """The polynomial a basis element stands for: m, m + swap m, or m - swap m."""
-    return Polynomial(el.stratum.vars, _element_terms(el))
-
-
-def _element_terms(el):
-    # element_poly's terms, the {monomial: int} dict the rules work on
+def element_terms(el):
+    """The term dict of a basis element: m, m + swap m or m - swap m."""
     m = el.mono
     if el.piece.flavor == FULL:
         return {m: 1}
@@ -116,15 +111,16 @@ def _expand(out, s, euler, terms, coef=1):
             out.pop(el, None)
 
 
-def restriction_expansion(d, a_top, p):
+def restriction_expansion(d, a_top, terms, vs):
     """Fold-column coordinates of sum_{a <= a_top} (-1)^a U_{a, d+1-a, 1} . p|.
 
-    p| is restrict(p) to the variables of the fold stratum (a, d+1-a).
+    p is the {monomial: int} dict terms in the variables vs, and p| its
+    restrict_terms to the variables of the fold stratum (a, d+1-a).
     """
     out = {}
     for a in range(a_top + 1):
         t = Stratum(1, a, d + 1 - a)
-        _expand(out, t, False, restrict_terms(p.terms, p.vars, t.vars), fold_sign(a))
+        _expand(out, t, False, restrict_terms(terms, vs, t.vars), fold_sign(a))
     return out
 
 
@@ -138,8 +134,8 @@ def d0(d, el):
     # out-of-range variables to 0), so one image in the smallest ring
     # holding every fold stratum's variables restricts to the image in
     # each target's own variables
-    image = s_hom((el.mono[0], ()), VariableSet(d // 2, d + 1))
-    return restriction_expansion(d, d // 2, image)
+    vs = VariableSet(d // 2, d + 1)
+    return restriction_expansion(d, d // 2, s_hom((el.mono[0], ()), vs), vs)
 
 
 def d_fold(d, el):
@@ -151,7 +147,7 @@ def d_fold(d, el):
     if el.piece.euler:
         return out
     a, b = s.a, s.b
-    p = _element_terms(el)
+    p = element_terms(el)
     if a:
         t = Stratum(2, a - 1, b)
         _expand(out, t, False, restrict_terms(p, s.vars, t.vars))
@@ -173,7 +169,7 @@ def d_even_col(d, el):
     out = {}
     if (r % 2 == 0) == el.piece.euler:
         return out
-    p = _element_terms(el)
+    p = element_terms(el)
     for sign in (PLUS, MINUS) if s.a != s.b else (None,):
         _expand(out, Stratum(lv + 1, s.a, s.b, sign), el.piece.euler, p, COVER_FACTOR)
     return out
@@ -188,7 +184,7 @@ def d_odd_col(d, el):
     r = (lv - 1) // 2
     out = {}
     t = Stratum(lv + 1, s.a, s.b)
-    p = _element_terms(el)
+    p = element_terms(el)
     if s.a != s.b:
         sheet = 1 if s.sign == PLUS else -1
         _expand(out, t, el.piece.euler, p, sheet)

@@ -12,20 +12,21 @@ integer power series in one variable t.  free_gca_series is the one
 kernel that expands the series of a free algebra; space_series calls it
 for P(a, b) and its swap-fixed subring, and Series only adds and shifts.
 
-All arithmetic is exact: polynomial and series coefficients are int.
-Every map the engine applies (Whitney splitting, restriction, swap,
-the attaching signs) has integer coefficients, so Polynomial admits
-int coefficients only and raises TypeError on anything else.
+All arithmetic is exact.  A polynomial is a {monomial: int} dict, and
+every map the engine applies (Whitney splitting, restriction, swap, the
+attaching signs) has integer coefficients: the coefficients the engine
+builds come from int literals in its rules, and no module imports
+fractions.  poly_str prints such a dict.
 
 VariableSet and FlavoredSpace are values: named tuples that compare and
 hash by their fields.  The swap-orbit representative rule of the
 symmetric and skew flavors is stated once, in is_orbit_rep.
 
 The kernels the generator labels and certificates lean on (s_hom,
-enumerate_monomials, mono_str and Polynomial printing) work on exponent
-tuples and plain dicts and build at most one Polynomial per call.  Bad
-arguments raise ValueError and the exactness guard in space_series
-raises ArithmeticError, so every check holds under python -O.
+enumerate_monomials, mono_str and poly_str) work on exponent tuples and
+plain dicts.  Bad arguments raise ValueError and the exactness guard in
+space_series raises ArithmeticError, so every check holds under
+python -O.
 """
 
 from collections import namedtuple
@@ -123,96 +124,27 @@ def mono_str(m):
     return " ".join(parts) or "1"
 
 
-class Polynomial:
-    """Exact polynomial in a fixed VariableSet, sparse over int."""
+def poly_str(terms):
+    """A {monomial: int} dict as text, in mono_key order: "p_1 - 2 p'_1", "0".
 
-    __slots__ = ("vars", "terms")
-
-    def __init__(self, vs, terms=None):
-        self.vars = vs
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if not isinstance(c, int):
-                    raise TypeError("polynomial coefficient %r is not an int" % (c,))
-                if c:
-                    self.terms[m] = c
-
-    @classmethod
-    def from_mono(cls, vs, m, coef=1):
-        return cls(vs, {m: coef})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.vars == other.vars \
-            and self.terms == other.terms
-
-    def __add__(self, other):
-        if self.vars != other.vars:
-            raise ValueError("sum across variable sets")
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, 0) + c
-        return Polynomial(self.vars, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Polynomial(self.vars, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if self.vars != other.vars:
-            raise ValueError("product across variable sets")
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return Polynomial(self.vars, terms)
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda mc: mono_key(mc[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        one = mono_one(self.vars)
-        parts = []
-        for m, c in self.items():
-            mag = abs(c)
-            if m == one:
-                body = str(mag)
-            elif mag == 1:
-                body = mono_str(m)
-            else:
-                body = "%s %s" % (mag, mono_str(m))
-            parts.append(("- " if c < 0 else "+ ") + body)
-        # the leading term drops its "+ " and writes "- " as "-"
-        out = " ".join(parts)
-        return out[2:] if out[0] == "+" else "-" + out[2:]
+    The unit (all exponents zero) prints as its coefficient alone.
+    """
+    out = ""
+    for m, c in sorted(terms.items(), key=lambda mc: mono_key(mc[0])):
+        body = mono_str(m)
+        if abs(c) != 1:
+            body = str(abs(c)) if body == "1" else "%d %s" % (abs(c), body)
+        out += (" - " if c < 0 else " + ") + body
+    # the leading term drops its " + " and writes " - " as "-"
+    return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
 
 
-def swap(p):
-    """The involution exchanging p_i and p'_i.  Square variable sets only."""
-    if not p.vars.square():
-        raise ValueError("swap needs floor(a/2) == floor(b/2)")
-    return Polynomial(p.vars, {mono_swap(m): c for m, c in p.terms.items()})
-
-
-def restrict(p, to):
-    """Carry p over to another variable set.
+def restrict_terms(terms, va, to):
+    """Carry a {monomial: int} dict in the variables va over to the set to.
 
     Monomials that use a variable missing from the target map to 0; the
     rest are carried over unchanged.  Either range may shrink or grow.
     """
-    return Polynomial(to, restrict_terms(p.terms, p.vars, to))
-
-
-def restrict_terms(terms, va, to):
-    """restrict on a {monomial: int} dict in the variables va, as a dict."""
     na, nb = to.na, to.nb
     cut_a, cut_b = (0,) * (va.na - na), (0,) * (va.nb - nb)
     pad_a, pad_b = (0,) * (na - va.na), (0,) * (nb - va.nb)
@@ -222,7 +154,8 @@ def restrict_terms(terms, va, to):
 
 
 def s_hom(m, target):
-    """Whitney splitting of a single-set monomial into P(a, b).
+    """Whitney splitting of a single-set monomial into P(a, b), as a
+    {monomial: int} dict.
 
     The source monomial lives in Q[p_1 .. p_n] (a VariableSet with no
     primed part).  Each p_i goes to sum_{j=0}^{i} p_j p'_{i-j} with
@@ -246,7 +179,7 @@ def s_hom(m, target):
                           fu if k < 0 else fu[:k] + (fu[k] + 1,) + fu[k + 1:])
                     out[m2] = out.get(m2, 0) + c
             terms = out
-    return Polynomial(target, terms)
+    return terms
 
 
 class Series:

@@ -1,8 +1,8 @@
 """Second-page ranks, closed-form rank series, and kernel generators.
 
-The engine computes every differential matrix once per dimension (the
-rank grid), then answers all truncations R from the same grid: for a
-column k below the truncation the second-page rank at total degree n is
+The engine counts the rank of every differential once per dimension
+(the rank grid), then answers all truncations R from the same grid: for
+a column k below the truncation the second-page rank at total degree n is
 
     e2(k, n) = dim E1(k, n) - rank d(k, n) - rank d(k-1, n-1),
 
@@ -17,7 +17,9 @@ tiny blocks, one per swap orbit, whose ranks _fold_ranks and
 _chain_ranks count.  _chain_ranks counts columns 2..5 only: the rules
 read a level >= 2 only mod 4 and column k's Thom class sits in degree
 d + k, so column k in degree n is column k - 4 in degree n - 4.  The
-grid grows in D and certifies only the new degrees.  verify assembles
+grid grows in D and certifies only the new degrees: column 0 by d0's
+sub-block in each new degree, column 1 by assembling one guard cell per
+build or growth, the lowest new fold cell.  verify assembles
 columns 0..6 once (assemble_columns) for three checks: chain_check
 multiplies consecutive matrices, collapse_check ranks the counted cells
 and verify_generators reads d0's images and the fold matrices.
@@ -31,14 +33,14 @@ degree by degree, that they exhaust the computed second page.
 from collections import defaultdict, namedtuple
 
 from .grading import (
-    VariableSet, Polynomial, Series, FlavoredSpace, FULL, SYM, SKEW,
+    VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap, mono_one,
-    is_orbit_rep, restrict_terms,
+    mono_mul, is_orbit_rep, restrict_terms, poly_str,
 )
 from .strata import Stratum, enumerate_strata, column_content
 from .e1 import BasisElement, IndexedBasis, column_series
 from .differentials import (
-    differential, assemble_matrix, restriction_expansion, element_poly,
+    differential, assemble_matrix, restriction_expansion, element_terms,
     _piece_for, LinearMap,
 )
 from .linalg import rank
@@ -143,7 +145,7 @@ def _grid(d, D):
         tgt = IndexedBasis(d, 1, n + 1, [BasisElement(t, _piece_for(t, False), m)
                                          for m in enumerate_monomials(t.vars, n - off)])
         cols = [{tgt.position(tel): c for tel, c in restriction_expansion(
-            d, 0, s_hom(el.mono, t.vars)).items()} for el in src]
+            d, 0, s_hom(el.mono, t.vars), t.vars).items()} for el in src]
         if LinearMap(src, tgt, cols).rank() != euler[n]:
             raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
     for k in range(max(2, D - d + 1)):
@@ -332,19 +334,20 @@ class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree expan
 
     kind is 'tau', 'sigma', 'i', or 'i_top'; family is the tau index j,
     the even symbol a of an I class, or None; data is the defining
-    polynomial; expansion maps fold basis elements to coefficients.
+    polynomial as a {monomial: int} dict; expansion maps fold basis
+    elements to coefficients.
     """
 
     __slots__ = ()
 
     def label(self):
         if self.kind == "tau":
-            return "tau[j=%d](%r)" % (self.family, self.data)
+            return "tau[j=%d](%s)" % (self.family, poly_str(self.data))
         if self.kind == "sigma":
-            return "sigma(%r)" % (self.data,)
+            return "sigma(%s)" % poly_str(self.data)
         if self.kind == "i":
-            return "I[a=%d](%r)" % (self.family, self.data)
-        return "I_top(%r)" % (self.data,)
+            return "I[a=%d](%s)" % (self.family, poly_str(self.data))
+        return "I_top(%s)" % poly_str(self.data)
 
     def __repr__(self):
         return "%s deg=%d" % (self.label(), self.degree)
@@ -372,24 +375,24 @@ def generator_classes(d, D):
         unit = ((0,) * ring.na, tuple(1 if t == idx - 1 else 0 for t in range(ring.nb)))
         for md in range(0, D - fold - 4 * idx + 1, 4):
             for m in enumerate_monomials(ring, md):
-                p = Polynomial.from_mono(ring, m) * Polynomial.from_mono(ring, unit)
+                p = {mono_mul(m, unit): 1}
                 out.append(GeneratorClass("tau", a_top // 2, p, fold + 4 * idx + md,
-                                          restriction_expansion(d, a_top, p)))
+                                          restriction_expansion(d, a_top, p, ring)))
     if d % 2 == 0:
         square = VariableSet(d, d)
         for md in range(0, D - fold + 1, 4):
             for m in enumerate_monomials(VariableSet(d, 0), md):
                 q = s_hom((m[0], ()), square)
                 out.append(GeneratorClass("sigma", None, q, fold + md,
-                                          restriction_expansion(d, d // 2, q)))
+                                          restriction_expansion(d, d // 2, q, square)))
         return out
     d2 = (d + 1) // 2
     square = VariableSet(d2, d2)
     for md in range(0, D - fold + 1, 4):
         for k in orbit_reps(FlavoredSpace(square, SKEW), md):
-            q = Polynomial.from_mono(square, k) - Polynomial.from_mono(square, mono_swap(k))
+            q = {k: 1, mono_swap(k): -1}
             out.append(GeneratorClass("sigma", None, q, fold + md,
-                                      restriction_expansion(d, d2, q)))
+                                      restriction_expansion(d, d2, q, square)))
     for s in fold_strata:
         piece = _piece_for(s, True)
         if piece is None:
@@ -398,7 +401,7 @@ def generator_classes(d, D):
         for md in range(0, D - piece.offset(s) + 1, 4):
             for m in orbit_reps(piece.space(s), md):
                 el = BasisElement(s, piece, m)
-                out.append(GeneratorClass(kind, family, element_poly(el),
+                out.append(GeneratorClass(kind, family, element_terms(el),
                                           el.degree, {el: 1}))
     return out
 
@@ -497,6 +500,9 @@ def collapse_check(d, D, kmin=2, kmax=5, *, maps=None):
     certify its counted rank; columns 2..5 are the ones the grid counts.
     maps holds columns 1..kmax of assemble_columns(d, ..., D).
     """
+    if kmin < 1:
+        raise ValueError("collapse check from column %d: the assembled "
+                         "maps start at column 1" % kmin)
     if max(1, D - d) < kmax:
         raise ValueError("collapse check up to column %d needs max degree "
                          "%d or more, got %d" % (kmax, d + kmax, D))

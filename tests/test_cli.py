@@ -82,16 +82,35 @@ def test_generators_table(capsys):
 
 
 @pytest.mark.parametrize("dim, fmt, digest", [
-    (6, "table", "fce382b1a9fd5ff32ef83d11dac1378b529c73946a03759cfd658d63d5b66a15"),
+    (1, "json", "a88e40fe4fc31c10ad284e76e157a5405bd27d8588db6a1bcd9db9cf07965f06"),
+    (1, "table", "822b2261f3b11c443a65752c7fd3cea7c33e9d103fd07c293234803b4ccd5dcc"),
+    (2, "json", "7878a175c1c3dca2aa03df0ceb3555a9ebe7e668004339dc8f458cae14597c48"),
+    (2, "table", "7faf8fe00d380937a9e8da3efeb43eac037df429ba08cab948a996a284ccaff1"),
+    (3, "json", "ad6e25d16d3ccf90ce361f8692c5147adf46156431685c34b241427d48bff05e"),
+    (3, "table", "b666624dddeab0e319249c6645f497aad947b73693f672cb1cbdf86b478472be"),
+    (4, "json", "2a5e894ba159f0173cc2e4b52dcb03355f71ae363de24df298307efe60b68c21"),
+    (4, "table", "99d1532291276505eb5f42b6d30fe2287c7a1ea7f3feeb8a36e67714836b510e"),
+    (5, "json", "a58c9130bca48a8913f9cc8aaf62b74913a088df66c65d293b2a5b7dcd24bd41"),
+    (5, "table", "54bdb0826a11dd998c81b1ced6f1eb13de9f873f4176e87b45d76924e1c7e5a7"),
     (6, "json", "e9bf48ea62453a383197cf1ffa55b8ef8a9142d5fbdb31c731f62bca3dc10726"),
-    (7, "table", "d7e474f43e0590dc55f9f200e47a50a931c325e28c8c5bbe2b55167389c165ce"),
+    (6, "table", "fce382b1a9fd5ff32ef83d11dac1378b529c73946a03759cfd658d63d5b66a15"),
     (7, "json", "8535d3df147f779e807aa38722e919a663d8d6a349b880b2f855b36903fe8c48"),
-    (10, "table", "8564fe5777a4d413111dea0a75c9b80831e30cc9dd531d2f4a904cc3f31487c8"),
+    (7, "table", "d7e474f43e0590dc55f9f200e47a50a931c325e28c8c5bbe2b55167389c165ce"),
+    (8, "json", "5b12a1d9aff18bd80b4c54b4913f809629d51b816ef5e520e4998573b27ffd45"),
+    (8, "table", "669833c8686e5f7534f25e1e3ccee2bcb39b1b3439699c36e578e466f49f98dd"),
+    (9, "json", "b5cee638a8a99035bbeacdb84df49787e2b8f80c2a379e48f051464213c0cc8f"),
+    (9, "table", "fa576032e1727fad9da506f27edf653c191a9cd97b26d8e2e7dec492a5c9329f"),
     (10, "json", "81a9e77912b55e869839afa4ab64e6a4b36cfa07d3e99e36e3ee8424ec7436f5"),
+    (10, "table", "8564fe5777a4d413111dea0a75c9b80831e30cc9dd531d2f4a904cc3f31487c8"),
+    (11, "json", "97888143cbe86db948f145715ad72419d246eecb53727dd97da34ddeabcf7fce"),
+    (11, "table", "a2a951c7e1b54a15aa0e1ff04546ca668d717d1e5e3c68686876caeb25b679e1"),
+    (12, "json", "b42b6e58aea2f73eee3959d741978268748d77ec5d538b339fc5585648cfa7d3"),
+    (12, "table", "1dbc78a03fb1d15843df10140b49e43a090fb37f057edec31e2aedc92105ec9f"),
 ])
 def test_generators_bytes_are_pinned(capsys, dim, fmt, digest):
-    # the class labels are Polynomial reprs; these pins guard every byte
-    # of them at an even d with sigma classes, an odd d and d = 10
+    # the class labels print term dicts through poly_str; these pins
+    # guard every byte of every label kind: tau, sigma (skew for odd d,
+    # Whitney images for even d), I, and I_top at d = 3 mod 4
     code, out = run_cli(capsys, "generators", "--dim", str(dim),
                         "--max-degree", "60", "--format", fmt)
     assert code == 0
@@ -190,8 +209,8 @@ def test_verify_reports_a_short_d0_sub_block(capsys, monkeypatch, fresh_grid):
     # the column-0 certificate raises from the grid, which the collapse
     # check builds first; the checks before it keep their entries
     real = pages.restriction_expansion
-    monkeypatch.setattr(pages, "restriction_expansion", lambda d, a_top, p: (
-        {} if a_top == 0 and list(p.terms) == [((), (0, 1))] else real(d, a_top, p)))
+    monkeypatch.setattr(pages, "restriction_expansion", lambda d, a_top, terms, vs: (
+        {} if a_top == 0 and list(terms) == [((), (0, 1))] else real(d, a_top, terms, vs)))
     code = main(["verify", "--dim", "4", "--max-degree", "40"])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""

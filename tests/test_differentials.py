@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import differentials
-from artifact.grading import Polynomial, swap, s_hom
+from artifact.grading import mono_swap, s_hom
 from artifact.strata import Stratum
 from artifact.e1 import build_basis
 from artifact.differentials import (
-    fold_sign, COVER_FACTOR, element_poly, d0, d_fold,
+    fold_sign, COVER_FACTOR, element_terms, d0, d_fold,
     differential, assemble_matrix, _expand,
 )
 from artifact.pages import chain_check
@@ -78,7 +78,7 @@ class TestD0:
             out = {}
             for a in range(d // 2 + 1):
                 t = Stratum(1, a, d + 1 - a)
-                _expand(out, t, False, s_hom((el.mono[0], ()), t.vars).terms,
+                _expand(out, t, False, s_hom((el.mono[0], ()), t.vars),
                         fold_sign(a))
             return out
 
@@ -164,16 +164,18 @@ class TestHigherColumns:
 
 
 class TestElementPoly:
+    # the polynomial of a basis element, as element_terms' dict
+
     def test_full(self):
         el = [e for e in build_basis(4, 1, 9) if e.stratum.a == 2][0]
-        p = element_poly(el)
-        assert dict(p.items()) == {((1,), (0,)): 1}
+        assert element_terms(el) == {((1,), (0,)): 1}
 
     def test_skew_vector(self):
         els = [e for e in build_basis(5, 1, 14) if e.stratum.a == 3]
+        assert els
         for el in els:
-            p = element_poly(el)
-            assert swap(p) == -p
+            p = element_terms(el)
+            assert p and {mono_swap(m): -c for m, c in p.items()} == p
 
 
 class TestMatrices:
@@ -280,7 +282,7 @@ def test_argument_checks_and_guards_survive_O():
         "from artifact.e1 import BasisElement, IndexedBasis\n"
         "from artifact.actions import ActionGen, apply_gen, group_closure\n"
         "from artifact.differentials import (\n"
-        "    d0, d_fold, d_even_col, d_odd_col, element_poly)\n"
+        "    d0, d_fold, d_even_col, d_odd_col, element_terms)\n"
         "def el(level, a, b, euler, flavor=FULL):\n"
         "    return BasisElement(Stratum(level, a, b), ContentPiece(euler, flavor),\n"
         "                        mono_one(VariableSet(a, b)))\n"
@@ -291,7 +293,7 @@ def test_argument_checks_and_guards_survive_O():
         "        (ValueError, lambda: d_fold(6, el(0, 6, 0, False))),\n"
         "        (ValueError, lambda: d_even_col(6, el(3, 3, 3, True))),\n"
         "        (ValueError, lambda: d_odd_col(6, el(2, 3, 3, False))),\n"
-        "        (ValueError, lambda: element_poly(el(2, 2, 2, False, SKEW))),\n"
+        "        (ValueError, lambda: element_terms(el(2, 2, 2, False, SKEW))),\n"
         "        (ValueError, lambda: apply_gen(ActionGen(True, 1, 1, 1, 1, 1),\n"
         "                                       Stratum(2, 1, 5), (0, 0, fold.mono))),\n"
         "        (ArithmeticError, lambda: d_odd_col(6, el(3, 3, 3, False))),\n"

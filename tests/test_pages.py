@@ -128,23 +128,26 @@ def test_collapse(d):
 
 def test_collapse_check_rejects_absent_columns_under_O():
     # at D = 8 the grid of d = 6 stops at column 2, so columns 3..5
-    # would read as exact from ranks that were never computed
+    # would read as exact from ranks that were never computed; the
+    # assembled maps start at column 1, so kmin = 0 has none to read
     import artifact
     code = (
         "from artifact.pages import collapse_check\n"
-        "try:\n"
-        "    collapse_check(6, 8)\n"
-        "except ValueError as e:\n"
-        "    print(e)\n"
-        "else:\n"
-        "    raise SystemExit('absent columns accepted')\n")
+        "for args in [(6, 8), (4, 30, 0, 3)]:\n"
+        "    try:\n"
+        "        collapse_check(*args)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('absent columns accepted: %r' % (args,))\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == \
-        "collapse check up to column 5 needs max degree 11 or more, got 8"
+    assert proc.stdout.splitlines() == [
+        "collapse check up to column 5 needs max degree 11 or more, got 8",
+        "collapse check from column 0: the assembled maps start at column 1"]
 
 
 def test_collapse_check_catches_a_wrong_count(monkeypatch):
@@ -340,9 +343,9 @@ def test_short_d0_sub_block_raises_under_O():
     code = (
         "from artifact import pages\n"
         "real = pages.restriction_expansion\n"
-        "pages.restriction_expansion = lambda d, a_top, p: (\n"
-        "    {} if a_top == 0 and list(p.terms) == [((), (0, 1))]\n"
-        "    else real(d, a_top, p))\n"
+        "pages.restriction_expansion = lambda d, a_top, terms, vs: (\n"
+        "    {} if a_top == 0 and list(terms) == [((), (0, 1))]\n"
+        "    else real(d, a_top, terms, vs))\n"
         "try:\n"
         "    pages.e2_ranks(4, 'inf', 20)\n"
         "except ArithmeticError as e:\n"
