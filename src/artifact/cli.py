@@ -6,13 +6,14 @@ lines, series as comma-joined coefficients), csv (degree,value rows, or
 report rows with a field quoted when it holds a comma), or json (a
 single object with dim, r, max_degree, series, report).  Exit code 0
 means success, 1 a verification mismatch, 2 a usage error, including an
---out file that cannot be written.
+--out file or a stdout (say a closed pipe) that cannot be written.
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -244,15 +245,17 @@ def main(argv=None):
         print("error: %s" % e, file=sys.stderr)
         return 2
     text = _render(args, res)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w") as f:
                 f.write(text + "\n")
-        except OSError as e:
-            print("error: %s" % e, file=sys.stderr)
-            return 2
-    else:
-        print(text)
+        else:
+            print(text, flush=True)
+    except OSError as e:
+        if not args.out:  # a closed stdout: keep the flush at exit quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: %s" % e, file=sys.stderr)
+        return 2
     return res.exit
 
 

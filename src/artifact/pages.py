@@ -11,18 +11,21 @@ Summing over columns gives the total cohomology rank series, which is
 compared coefficient by coefficient against the closed-form series
 encoded per residue of d.
 
-The grid counts every rank.  Column 0's is its Euler count, certified
-by d0's rows on the fold stratum (0, d + 1); every other map is a sum of
-tiny blocks, one per swap orbit, whose ranks _fold_ranks and
-_chain_ranks count.  _chain_ranks counts columns 2..5 only: the rules
-read a level >= 2 only mod 4 and column k's Thom class sits in degree
-d + k, so column k in degree n is column k - 4 in degree n - 4.  The
-grid grows in D and certifies only the new degrees: column 0 by d0's
-sub-block in each new degree, column 1 by assembling one guard cell per
-build or growth, the lowest new fold cell.  verify assembles
-columns 0..6 once (assemble_columns) for three checks: chain_check
-multiplies consecutive matrices, collapse_check ranks the counted cells
-and verify_generators reads d0's images and the fold matrices.
+The grid counts every rank.  Column 0's is its Euler count, certified by
+d0's rows on the fold stratum (0, d + 1).  Out of a column k >= 1 the
+map is a sum of tiny blocks, one per swap orbit {m, swap m} of
+P(d + 1, d + 1), and _counted_ranks ranks one block per type: the
+extents (i, j) of m, with 2(i + j) <= d + 1 (a stratum (a, b) holds
+p_i p'_j only if 2i <= a and 2j <= b), and whether swap m = m.  The
+rules read a level >= 2 only mod 4 and column k's Thom class sits in
+degree d + k, so column k in degree n is column k - 4 in degree n - 4,
+and the grid counts columns up to 5 only.  The grid grows in D and
+certifies only the new degrees: column 0 by d0's sub-block in each new
+degree, column 1 by assembling one guard cell per build or growth, the
+lowest new fold cell.  verify assembles columns 0..6 once
+(assemble_columns) for three checks: chain_check multiplies consecutive
+matrices, collapse_check ranks the counted cells and verify_generators
+reads d0's images and the fold matrices.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
@@ -34,7 +37,7 @@ from collections import defaultdict, namedtuple
 
 from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
-    enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap, mono_one,
+    enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
     mono_mul, is_orbit_rep, restrict_terms, poly_str,
 )
 from .strata import Stratum, enumerate_strata, column_content
@@ -66,67 +69,48 @@ def clear_cache():
     _GRID.clear()
 
 
-def _weigh(total, d, block, count, offset):
-    """total plus the rank of differential on one representative block,
-    weighted by count, the number of such blocks in each degree, shifted by offset."""
-    r = rank([differential(d, el) for el in block])
-    return total + Series([r * x for x in count.tshift(offset).c], total.D)
+def _counted_ranks(d, columns, D):
+    """{k: ranks of d out of column k in every degree <= D}, counted, k >= 1.
 
-
-def _chain_ranks(d, k, D):
-    """Ranks of d out of column k >= 2 in every degree <= D, counted.
-
-    There d keeps the pair (a, b), the Euler flag and the swap orbit
-    {m, swap m}, so it splits into blocks of at most two elements whose
-    rank depends on m only through whether swap fixes it.
+    Out of a column k >= 1 d keeps the Euler flag and either keeps the
+    pair (a, b) or restricts variables (the fold's square neighbour takes
+    q - swap q), so it splits into one block per swap orbit {m, swap m}
+    of U = P(d + 1, d + 1), whose rank depends only on whether swap m = m
+    and on the extents (i, j) of m: the numbers of unprimed and primed
+    variables up to its last nonzero exponent.
     """
-    strata = enumerate_strata(d, k)
-    total = Series.zero(D)
-    for a in range(d // 2 + 1):
-        sheets = [s for s in strata if s.a == a]  # two sign sheets in odd columns
-        s, vs = sheets[0], sheets[0].vars
-        if a != s.b:
-            types = [([mono_one(vs)], _P(a, s.b, D))]
-        else:
-            # the unit stands for fixed orbits, p_1 (if any) for free ones
-            free = _A(a, a, D)
-            types = [([mono_one(vs)], _S(a, a, D) - free)] + [
-                ([m, mono_swap(m)], free) for m in orbit_reps(FlavoredSpace(vs, SKEW), 4)]
-        for piece in column_content(s):
-            for orbit, count in types:
-                block = [BasisElement(t, piece, m) for t in sheets for m in orbit
-                         if is_orbit_rep(piece.flavor, m)]
-                total = _weigh(total, d, block, count, piece.offset(s))
-    return total
-
-
-def _fold_ranks(d, D):
-    """Ranks of d out of the fold column in every degree <= D, counted.
-
-    d_fold restricts variables (the square neighbour takes q - swap q), so
-    it splits into one block per swap orbit {m, swap m}, whose rank depends
-    only on whether swap m = m and on the extents (i, j) of m: the numbers
-    of unprimed and primed variables up to its last nonzero exponent.
-    """
-    pieces = [(s, _piece_for(s, False)) for s in enumerate_strata(d, 1)]
-    U = VariableSet(d + 1, d + 1)  # holds every fold stratum's variables
-    total = Series.zero(D)
+    U = VariableSet(d + 1, d + 1)  # holds every stratum's variables
+    spaces = {s.vars for k in columns for s in enumerate_strata(d, k)}
+    types = []  # (the orbit restricted into each space, its count), one per type
+    # only types with 2(i + j) <= d + 1 have blocks (see the module docstring)
     for j in range(U.nb + 1):
-        for i in range(j + 1):
+        for i in range(min(j, U.nb - j) + 1):
             # m has extents (i, j) iff it is p_i p'_j times a monomial of
             # P(2i, 2j), so that ring's series count each type's orbits;
             # p_i p'_i stands for fixed orbits, p_i p'_i^2 for free ones
-            types = [(1, _P(2 * i, 2 * j, D))] if i < j else [
+            counts = [(1, _P(2 * i, 2 * j, D))] if i < j else [
                 (1, _S(2 * i, 2 * i, D) - _A(2 * i, 2 * i, D)), (2, _A(2 * i, 2 * i, D))]
-            for y, count in types:
+            for y, count in counts:
                 m = (tuple(int(t == i - 1) for t in range(U.na)),
                      tuple(y * (t == j - 1) for t in range(U.nb)))
-                orbit = {m: 1, mono_swap(m): 1}
-                block = [BasisElement(s, piece, mono) for s, piece in pieces
-                         for mono in restrict_terms(orbit, U, s.vars)
-                         if is_orbit_rep(piece.flavor, mono)]
-                total = _weigh(total, d, block, count, d + 1 + 4 * (i + j))
-    return total
+                types.append(({vs: restrict_terms({m: 1, mono_swap(m): 1}, U, vs)
+                               for vs in spaces}, count.tshift(4 * (i + j))))
+    out = {}
+    for k in columns:
+        # one Euler flag's pieces share one offset: Thom degree (+ a + b if Euler)
+        by_offset = defaultdict(list)
+        for s in enumerate_strata(d, k):
+            for p in column_content(s):
+                by_offset[p.offset(s)].append((s, p))
+        total = [0] * (D + 1)
+        for offset, pairs in by_offset.items():
+            for monos, count in types:
+                r = rank([differential(d, BasisElement(s, p, mono)) for s, p in pairs
+                          for mono in monos[s.vars] if is_orbit_rep(p.flavor, mono)])
+                for n in range(offset, D + 1) if r else ():
+                    total[n] += r * count.c[n - offset]
+        out[k] = Series(total, D)
+    return out
 
 
 def _grid(d, D):
@@ -148,20 +132,18 @@ def _grid(d, D):
             d, 0, s_hom(el.mono, t.vars), t.vars).items()} for el in src]
         if LinearMap(src, tgt, cols).rank() != euler[n]:
             raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
-    for k in range(max(2, D - d + 1)):
-        if k > 5:
-            # column k - 4 moved up four degrees (see the module
-            # docstring); fill only the degrees the grid lacks
-            for n in range(max(d + k, D0 + 1), D + 1):
-                if (k - 4, n - 4) in sizes:
-                    sizes[(k, n)] = sizes[(k - 4, n - 4)]
-                    ranks[(k, n)] = ranks[(k - 4, n - 4)]
-            continue
-        counted = _chain_ranks(d, k, D) if k > 1 else _fold_ranks(d, D) if k else euler
+    for k, counted in {0: euler, **_counted_ranks(d, range(1, 6), D)}.items():
         for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted.c)):
             if size:
                 sizes[(k, n)] = size
                 ranks[(k, n)] = rk
+    for k in range(6, D - d + 1):
+        # column k - 4 moved up four degrees (see the module docstring);
+        # fill only the degrees the grid lacks
+        for n in range(max(d + k, D0 + 1), D + 1):
+            if (k - 4, n - 4) in sizes:
+                sizes[(k, n)] = sizes[(k - 4, n - 4)]
+                ranks[(k, n)] = ranks[(k - 4, n - 4)]
     # a guard per build or growth: the lowest new fold cell with Euler-free elements
     n = max(d + 1, D0 + 1 + (d - D0) % 4)
     if n <= D and assemble_matrix(d, 1, n).rank() != ranks[(1, n)]:
@@ -497,7 +479,7 @@ def collapse_check(d, D, kmin=2, kmax=5, *, maps=None):
     """kernel = image in columns kmin..kmax, i.e. the sequence collapses.
 
     Each checked cell and every column-1 cell is also assembled, to
-    certify its counted rank; columns 2..5 are the ones the grid counts.
+    certify its counted rank; columns 1..5 are the ones the grid counts.
     maps holds columns 1..kmax of assemble_columns(d, ..., D).
     """
     if kmin < 1:

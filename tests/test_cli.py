@@ -187,9 +187,10 @@ _CHECKS_BEFORE_COLLAPSE = ["ok   oracle level %d" % level for level in range(1, 
 
 def test_verify_reports_a_negative_e2_after_the_collapse_entries(
         capsys, monkeypatch, fresh_grid):
-    # counting fixed swap orbits as _S rather than _S - _A overcounts
-    # columns >= 2: the collapse check names the columns, and the
-    # e2 >= 0 guard that trips afterwards becomes one more FAIL entry
+    # counting fixed swap orbits p_i p'_i as _S rather than _S - _A
+    # overcounts columns >= 2 (the fold column gives them rank 0): the
+    # collapse check names the columns, and the e2 >= 0 guard that trips
+    # afterwards becomes one more FAIL entry
     real_S, real_A = pages._S, pages._A
     monkeypatch.setattr(pages, "_S",
                         lambda a, b, D: real_S(a, b, D) + real_A(a, b, D))
@@ -198,11 +199,11 @@ def test_verify_reports_a_negative_e2_after_the_collapse_entries(
     assert code == 1 and err == ""
     assert out.splitlines() == _CHECKS_BEFORE_COLLAPSE + [
         "ok   collapse column 2 exact",
-        "FAIL collapse column 3 exact (degree 15: counted rank 3, assembled rank 2)",
-        "FAIL collapse column 4 exact (degree 12: counted rank 4, assembled rank 3)",
-        "FAIL collapse column 5 exact (degree 13: kernel 3, image 4)",
+        "FAIL collapse column 3 exact (degree 23: counted rank 5, assembled rank 4)",
+        "FAIL collapse column 4 exact (degree 20: counted rank 6, assembled rank 5)",
+        "FAIL collapse column 5 exact (degree 21: kernel 5, image 6)",
         "ok   column 1 counted rank exact",
-        "FAIL exactness guards hold (image exceeds kernel at column 4 degree 12)"]
+        "FAIL exactness guards hold (image exceeds kernel at column 4 degree 20)"]
 
 
 def test_verify_reports_a_short_d0_sub_block(capsys, monkeypatch, fresh_grid):
@@ -314,6 +315,25 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_closed_stdout_is_a_usage_error():
+    # a reader that stops after one line (| head -1) closes the pipe while
+    # the verb writes 450 kB, several times a pipe's buffer, so the write
+    # fails: one error line, no traceback, and the usage exit code
+    import artifact
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    with subprocess.Popen(
+            [sys.executable, "-m", "artifact", "generators", "--dim", "11",
+             "--max-degree", "80"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert first == "  16  sigma(p_1 - p'_1)\n"
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("argv", [

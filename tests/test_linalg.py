@@ -141,14 +141,15 @@ def test_counted_column_0_matches_assembly_at_larger_sizes(d, D):
 
 
 @pytest.mark.parametrize("d, D", [(12, 70), (14, 60)])
-def test_counted_column_1_matches_assembly_at_larger_sizes(d, D):
+def test_counted_columns_1_to_5_match_assembly_at_larger_sizes(d, D):
     # the fold cells are the largest the grid assembled before it
-    # counted them; the block-type count must equal their rank well
-    # beyond D = 40
+    # counted them, and columns 2..5 are the ones every later column
+    # copies; the block-type count must equal their rank well beyond D = 40
     pages.clear_cache()
     _, sizes, ranks = pages._grid(d, D)
     pages.clear_cache()
-    for n in range(D + 1):
-        A = assemble_matrix(d, 1, n)
-        assert sizes.get((1, n), 0) == len(A.source.elements), n
-        assert ranks.get((1, n), 0) == A.rank(), n
+    for k in range(1, 6):
+        for n in range(D + 1):
+            A = assemble_matrix(d, k, n)
+            assert sizes.get((k, n), 0) == len(A.source.elements), (k, n)
+            assert ranks.get((k, n), 0) == A.rank(), (k, n)

@@ -153,15 +153,14 @@ def test_collapse_check_rejects_absent_columns_under_O():
 def test_collapse_check_catches_a_wrong_count(monkeypatch):
     # the grid counts the ranks of columns >= 2; collapse_check
     # assembles the cells it checks, so a count off by one fails there
-    real = pages._chain_ranks
+    real = pages._counted_ranks
 
-    def off_by_one(d, k, D):
-        ranks = real(d, k, D)
-        if k == 3:
-            ranks.c[15] += 1
+    def off_by_one(d, columns, D):
+        ranks = real(d, columns, D)
+        ranks[3].c[15] += 1
         return ranks
 
-    monkeypatch.setattr(pages, "_chain_ranks", off_by_one)
+    monkeypatch.setattr(pages, "_counted_ranks", off_by_one)
     pages.clear_cache()
     try:
         rep = collapse_check(4, 20)
@@ -182,14 +181,14 @@ def test_collapse_check_catches_a_wrong_fold_count(monkeypatch):
     # the grid counts column 1 too; collapse_check assembles every fold
     # cell, and column 2 reads its images from them, so a fold count off
     # by one fails only the fold entry, naming the degree
-    real = pages._fold_ranks
+    real = pages._counted_ranks
 
-    def off_by_one(d, D):
-        ranks = real(d, D)
-        ranks.c[13] += 1
+    def off_by_one(d, columns, D):
+        ranks = real(d, columns, D)
+        ranks[1].c[13] += 1
         return ranks
 
-    monkeypatch.setattr(pages, "_fold_ranks", off_by_one)
+    monkeypatch.setattr(pages, "_counted_ranks", off_by_one)
     pages.clear_cache()
     try:
         rep = collapse_check(4, 20)
@@ -315,12 +314,12 @@ def test_negative_e2_raises_under_O():
     import artifact
     code = (
         "from artifact import pages\n"
-        "real = pages._fold_ranks\n"
-        "def over(d, D):\n"
-        "    ranks = real(d, D)\n"
-        "    ranks.c[9] += 2\n"
+        "real = pages._counted_ranks\n"
+        "def over(d, columns, D):\n"
+        "    ranks = real(d, columns, D)\n"
+        "    ranks[1].c[9] += 2\n"
         "    return ranks\n"
-        "pages._fold_ranks = over\n"
+        "pages._counted_ranks = over\n"
         "try:\n"
         "    pages.e2_ranks(4, 'inf', 12)\n"
         "except ArithmeticError as e:\n"
@@ -391,22 +390,22 @@ def test_columns_repeat_with_period_4(d):
     D = 60
     for k in range(6, 14):
         assert column_series(d, k, D) == column_series(d, k - 4, D).tshift(4), k
-        assert pages._chain_ranks(d, k, D) == \
-            pages._chain_ranks(d, k - 4, D).tshift(4), k
+        counted = pages._counted_ranks(d, [k - 4, k], D)
+        assert counted[k] == counted[k - 4].tshift(4), k
 
 
 def _per_column_grid(d, D):
     # the grid counted column by column, with no shift: column 0 by its
-    # Euler elements, column 1 by _fold_ranks, every k >= 2 by _chain_ranks
+    # Euler elements, every k >= 1 by _counted_ranks
     [s] = enumerate_strata(d, 0)
     piece = _piece_for(s, True)
     euler = space_series(piece.space(s), D).tshift(piece.offset(s)) \
         if piece else Series.zero(D)
+    K = max(1, D - d)
+    counted = {0: euler, **pages._counted_ranks(d, range(1, K + 1), D)}
     sizes, ranks = {}, {}
-    for k in range(max(2, D - d + 1)):
-        counted = pages._chain_ranks(d, k, D) if k > 1 else \
-            pages._fold_ranks(d, D) if k else euler
-        for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted.c)):
+    for k in range(K + 1):
+        for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted[k].c)):
             if size:
                 sizes[(k, n)] = size
                 ranks[(k, n)] = rk
