@@ -22,7 +22,7 @@ from .actions import oracle_crosscheck
 from .e1 import column_series
 from .pages import (
     e2_ranks, generator_classes, verify_generators, chain_check, collapse_check,
-    assemble_columns, CheckReport,
+    assemble_columns, CheckReport, _norm_R,
 )
 from .loopspace import loopspace_series
 
@@ -119,10 +119,10 @@ def _cmd_verify(args):
         entries.append(("oracle level %d" % level, not bad,
                         "%s %s" % bad[0] if bad else ""))
     try:
-        # the three checks below read one assembly of columns 0..6
-        maps = assemble_columns(d, range(min(6, K) + 1), D)
-        entries += chain_check(d, min(5, K - 1), D, maps=maps).entries
-        entries += collapse_check(d, D, 2, min(5, K), maps=maps).entries
+        # the three checks below read one assembly
+        maps = assemble_columns(d, D)
+        entries += chain_check(d, D, maps=maps).entries
+        entries += collapse_check(d, D, maps=maps).entries
         mis = e2_ranks(d, args.r, D).mismatch
         entries.append(("closed form matches computed ranks", mis is None,
                         "" if mis is None else
@@ -137,15 +137,11 @@ def _cmd_verify(args):
 
 
 def _r_value(text):
-    if text == "inf":
-        return "inf"
     try:
-        v = int(text)
+        Rn = _norm_R(text)
     except ValueError:
         raise argparse.ArgumentTypeError("r must be a positive integer or inf")
-    if v < 1:
-        raise argparse.ArgumentTypeError("r must be a positive integer or inf")
-    return v
+    return "inf" if Rn is None else Rn
 
 
 def _int_at_least(low):

@@ -22,9 +22,11 @@ degree d + k, so column k in degree n is column k - 4 in degree n - 4,
 and the grid counts columns up to 5 only.  The grid grows in D and
 certifies only the new degrees: column 0 by d0's sub-block in each new
 degree, column 1 by assembling one guard cell per build or growth, the
-lowest new fold cell.  verify assembles columns 0..6 once
-(assemble_columns) for three checks: chain_check multiplies consecutive
-matrices, collapse_check ranks the counted cells and verify_generators
+lowest new fold cell.  verify's three checks all take (d, D) and read
+one assembly, assemble_columns(d, D), the only place that picks its
+columns: 0..min(6, K), K = max(1, D - d).  chain_check multiplies
+consecutive matrices out of columns 0..min(5, K - 1), collapse_check
+ranks the counted cells of columns 1..min(5, K) and verify_generators
 reads d0's images and the fold matrices.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
@@ -408,9 +410,13 @@ class CheckReport(namedtuple("CheckReport", "title entries")):
         return "\n".join([self.title] + ["  " + l for l in self.lines()])
 
 
-def assemble_columns(d, columns, D):
-    """{(k, n): assemble_matrix(d, k, n)} for k in columns and -1 <= n <= D."""
-    return {(k, n): assemble_matrix(d, k, n) for k in columns for n in range(-1, D + 1)}
+def assemble_columns(d, D):
+    """{(k, n): assemble_matrix(d, k, n)} for -1 <= n <= D and the columns
+    verify's checks read: 0..min(6, K), K = max(1, D - d)."""
+    if D < 0:
+        raise ValueError("max degree %d is below 0" % D)
+    return {(k, n): assemble_matrix(d, k, n) for k in range(min(6, max(1, D - d)) + 1)
+            for n in range(-1, D + 1)}
 
 
 def verify_generators(d, D, *, maps=None):
@@ -419,12 +425,12 @@ def verify_generators(d, D, *, maps=None):
     Three checks: every class lies in the kernel of the fold
     differential; for even d the sigma classes lie in the image of d0;
     the remaining classes span a complement of that image whose rank
-    matches e2(column 1) in every degree up to D.  maps holds columns 0
-    and 1 of assemble_columns(d, ..., D).
+    matches e2(column 1) in every degree up to D.  maps defaults to
+    assemble_columns(d, D).
     """
     _, sizes, ranks = _grid(d, D)
     classes = generator_classes(d, D)
-    maps = maps or assemble_columns(d, (0, 1), D)
+    maps = maps or assemble_columns(d, D)
     by_deg = defaultdict(list)
     for cl in classes:
         by_deg[cl.degree].append(cl)
@@ -461,13 +467,14 @@ def verify_generators(d, D, *, maps=None):
     return CheckReport("generator check d=%d, D=%d" % (d, D), entries)
 
 
-def chain_check(d, kmax, D, *, maps=None):
-    """d(d(x)) = 0 out of columns 0..kmax in every degree below D, as the
-    products d(k + 1, n + 1) d(k, n) of assemble_columns' matrices."""
-    maps = maps or assemble_columns(d, range(kmax + 2), D)
+def chain_check(d, D, *, maps=None):
+    """d(d(x)) = 0 out of columns 0..min(5, K - 1), K = max(1, D - d), in
+    every degree below D, as the products d(k + 1, n + 1) d(k, n) of
+    assemble_columns(d, D)'s matrices (maps defaults to it)."""
+    maps = maps or assemble_columns(d, D)
     # column outer, degree inner: the first failing cell is the
     # smallest in (column, degree) order
-    bad = next(((k, n) for k in range(kmax + 1) for n in range(D)
+    bad = next(((k, n) for k in range(min(6, max(1, D - d))) for n in range(D)
                 if any(maps[(k + 1, n + 1)].apply(col) for col in maps[(k, n)].cols)),
                None)
     return CheckReport("chain check d=%d, D=%d" % (d, D), [(
@@ -475,27 +482,22 @@ def chain_check(d, kmax, D, *, maps=None):
         "" if bad is None else "column %d degree %d" % bad)])
 
 
-def collapse_check(d, D, kmin=2, kmax=5, *, maps=None):
-    """kernel = image in columns kmin..kmax, i.e. the sequence collapses.
+def collapse_check(d, D, *, maps=None):
+    """kernel = image in columns 2..min(5, K), K = max(1, D - d), i.e. the
+    sequence collapses.
 
     Each checked cell and every column-1 cell is also assembled, to
     certify its counted rank; columns 1..5 are the ones the grid counts.
-    maps holds columns 1..kmax of assemble_columns(d, ..., D).
+    maps defaults to assemble_columns(d, D).
     """
-    if kmin < 1:
-        raise ValueError("collapse check from column %d: the assembled "
-                         "maps start at column 1" % kmin)
-    if max(1, D - d) < kmax:
-        raise ValueError("collapse check up to column %d needs max degree "
-                         "%d or more, got %d" % (kmax, d + kmax, D))
     _, sizes, ranks = _grid(d, D)
-    maps = maps or assemble_columns(d, range(1, kmax + 1), D)
+    maps = maps or assemble_columns(d, D)
     # column 2 reads its images from the assembled column 1, so a
     # miscounted column 1 fails only its own entry
     fold = [maps[(1, n)].rank() for n in range(D + 1)]
     miscount = "degree %d: counted rank %d, assembled rank %d"
     entries = []
-    for k in range(kmin, kmax + 1):
+    for k in range(2, min(5, max(1, D - d)) + 1):
         bad = ""
         for n in range(D + 1):
             rk, got = ranks.get((k, n), 0), maps[(k, n)].rank()

@@ -55,7 +55,7 @@ def test_criterion_02_chain_condition():
     t0 = time.monotonic()
     bad = []
     for d in DIMS:
-        rep = chain_check(d, 5, 40)
+        rep = chain_check(d, 40)
         if not rep.ok:
             bad.extend("d=%d %s" % (d, line)
                        for line in rep.lines() if line.startswith("FAIL"))
@@ -68,7 +68,7 @@ def test_criterion_02_chain_condition():
 def test_criterion_03_collapse():
     bad = []
     for d in DIMS:
-        col = collapse_check(d, 36, 2, 5)
+        col = collapse_check(d, 36)
         if not col.ok:
             bad.extend("d=%d %s" % (d, line)
                        for line in col.lines() if line.startswith("FAIL"))
@@ -188,8 +188,8 @@ def test_criterion_09_free_gca_sanity():
 
 def _checks_2_to_4_hold():
     pages.clear_cache()
-    return (chain_check(4, 4, 20).ok
-            and collapse_check(4, 20, 2, 5).ok
+    return (chain_check(4, 20).ok
+            and collapse_check(4, 20).ok
             and e2_ranks(4, "inf", 20).mismatch is None)
 
 

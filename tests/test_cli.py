@@ -257,7 +257,7 @@ def test_verify_json_rows_are_the_library_entries(capsys):
     assert code == 1
     entries = [("oracle level %d" % level, oracle_crosscheck(d, level, D).ok, "")
                for level in range(1, 8)]
-    entries += chain_check(d, 5, D).entries + collapse_check(d, D, 2, 5).entries
+    entries += chain_check(d, D).entries + collapse_check(d, D).entries
     entries.append(("closed form matches computed ranks",
                     e2_ranks(d, "inf", D).mismatch is None, ""))
     entries += verify_generators(d, D).entries
@@ -272,10 +272,12 @@ def test_bad_space_is_usage_error(capsys):
     assert code == 2
 
 
-def test_bad_r_is_usage_error():
-    with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["e2", "--dim", "4", "--r", "0"])
-    assert exc.value.code == 2
+def test_bad_r_is_usage_error(capsys):
+    for r in ["0", "-1", "2.5", "1e3", "", " inf", "infinity"]:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["e2", "--dim", "4", "--r", r])
+        assert exc.value.code == 2
+        assert "r must be a positive integer or inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

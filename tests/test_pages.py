@@ -1,5 +1,6 @@
 """Second-page ranks, closed forms, collapse, and generator verification."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import differentials, pages
+from artifact.cli import main
 from artifact.differentials import _piece_for, LinearMap
 from artifact.e1 import column_series
 from artifact.grading import Series, space_series
@@ -126,28 +128,26 @@ def test_collapse(d):
     assert col.ok, "\n".join(col.lines())
 
 
-def test_collapse_check_rejects_absent_columns_under_O():
-    # at D = 8 the grid of d = 6 stops at column 2, so columns 3..5
-    # would read as exact from ranks that were never computed; the
-    # assembled maps start at column 1, so kmin = 0 has none to read
-    import artifact
-    code = (
-        "from artifact.pages import collapse_check\n"
-        "for args in [(6, 8), (4, 30, 0, 3)]:\n"
-        "    try:\n"
-        "        collapse_check(*args)\n"
-        "    except ValueError as e:\n"
-        "        print(e)\n"
-        "    else:\n"
-        "        raise SystemExit('absent columns accepted: %r' % (args,))\n")
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
-        "collapse check up to column 5 needs max degree 11 or more, got 8",
-        "collapse check from column 0: the assembled maps start at column 1"]
+@pytest.mark.parametrize("D,K", [(6, 1), (7, 1), (8, 2), (9, 3), (10, 4), (11, 5)])
+def test_verify_entries_follow_d_and_D_at_small_K(capsys, D, K):
+    # K = max(1, D - d) bounds every check: the oracle runs levels 1..K,
+    # the chain check stops below column K and the collapse check covers
+    # columns 2..K (the grid counts no column beyond K)
+    assert main(["verify", "--dim", "6", "--max-degree", str(D), "--format", "json"]) == 0
+    assert [row["check"] for row in json.loads(capsys.readouterr().out)["report"]] == (
+        ["oracle level %d" % level for level in range(1, K + 1)]
+        + ["chain condition d(d(x)) = 0"]
+        + ["collapse column %d exact" % k for k in range(2, K + 1)]
+        + ["column 1 counted rank exact", "closed form matches computed ranks",
+           "generators: all classes lie in ker d1", "generators: sigma classes lie in im d0",
+           "generators: remaining classes span E2 column 1"])
+
+
+def test_collapse_check_alone_covers_the_columns_the_grid_counts():
+    # at D = 8 the grid of d = 6 stops at column 2
+    rep = collapse_check(6, 8)
+    assert rep.entries == [("collapse column 2 exact", True, ""),
+                           ("column 1 counted rank exact", True, "")]
 
 
 def test_collapse_check_catches_a_wrong_count(monkeypatch):
@@ -199,9 +199,9 @@ def test_collapse_check_catches_a_wrong_fold_count(monkeypatch):
 
 
 def test_chain_check_names_first_failure(monkeypatch):
-    assert chain_check(4, 4, 20).ok
+    assert chain_check(4, 20).ok
     monkeypatch.setattr(differentials, "fold_sign", lambda a: 1)
-    rep = chain_check(4, 4, 20)
+    rep = chain_check(4, 20)
     assert rep.entries == [("chain condition d(d(x)) = 0", False,
                             "column 0 degree 4")]
 
@@ -215,8 +215,8 @@ def test_chain_check_reports_smallest_failure_across_diagonals():
     failing = {(3, 1), (2, 3), (1, 9), (1, 12)}
     maps = {(k, n): LinearMap(None, None, [{0: 1} if {(k, n), (k - 1, n - 1)} & failing
                                            else {}])
-            for k in range(6) for n in range(-1, 21)}
-    assert chain_check(4, 4, 20, maps=maps).entries[0][2] == "column 1 degree 9"
+            for k in range(7) for n in range(-1, 21)}
+    assert chain_check(4, 20, maps=maps).entries[0][2] == "column 1 degree 9"
 
 
 @pytest.mark.parametrize("d,D,count", [(4, 18, 8), (5, 18, 13),
@@ -473,21 +473,25 @@ def test_non_integral_truncation_is_rejected(R):
 def test_negative_max_degree_is_rejected_under_O():
     import artifact
     code = (
-        "from artifact.pages import e2_ranks\n"
+        "from artifact.pages import (e2_ranks, chain_check, collapse_check,\n"
+        "    verify_generators)\n"
         "from artifact.loopspace import loopspace_series\n"
-        "for fn in (e2_ranks, loopspace_series):\n"
+        "calls = [lambda: e2_ranks(6, 'inf', -1), lambda: loopspace_series(6, 'inf', -1),\n"
+        "         lambda: chain_check(4, -1), lambda: collapse_check(4, -1),\n"
+        "         lambda: verify_generators(4, -1)]\n"
+        "for i, call in enumerate(calls):\n"
         "    try:\n"
-        "        fn(6, 'inf', -1)\n"
+        "        call()\n"
         "    except ValueError as e:\n"
         "        print(e)\n"
         "    else:\n"
-        "        raise SystemExit('max degree -1 accepted by %s' % fn.__name__)\n")
+        "        raise SystemExit('max degree -1 accepted by call %d' % i)\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["max degree -1 is below 0"] * 2
+    assert proc.stdout.splitlines() == ["max degree -1 is below 0"] * 5
 
 
 def test_truncation_below_one_is_rejected_under_O():
@@ -517,7 +521,7 @@ def test_dimension_and_level_are_rejected_under_O():
         "from artifact.e1 import column_series\n"
         "calls = [lambda: e2_ranks(-2, 'inf', 10), lambda: e2_ranks(0, 'inf', 10),\n"
         "         lambda: verify_generators(-1, 10), lambda: generator_classes(0, 10),\n"
-        "         lambda: chain_check(0, 3, 10), lambda: collapse_check(0, 10),\n"
+        "         lambda: chain_check(0, 10), lambda: collapse_check(0, 10),\n"
         "         lambda: oracle_crosscheck(0, 1, 10), lambda: column_series(0, 1, 10),\n"
         "         lambda: oracle_crosscheck(4, 0, 10), lambda: oracle_crosscheck(4, -1, 10)]\n"
         "for call in calls:\n"
