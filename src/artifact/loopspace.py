@@ -16,6 +16,7 @@ truncation order.
 """
 
 from .grading import FlavoredSpace, space_series, free_gca_series
+from .strata import enumerate_strata
 from .pages import e2_ranks
 
 
@@ -48,4 +49,5 @@ def mmm_subseries(d, D):
     4, 8, ..., 4*floor(d/2) for every d, hence is independent of the
     truncation order.
     """
+    enumerate_strata(d, 0)  # rejects d < 1
     return space_series(FlavoredSpace.single(d), D)

@@ -22,12 +22,13 @@ degree d + k, so column k in degree n is column k - 4 in degree n - 4,
 and the grid counts columns up to 5 only.  The grid grows in D and
 certifies only the new degrees: column 0 by d0's sub-block in each new
 degree, column 1 by assembling one guard cell per build or growth, the
-lowest new fold cell.  verify's three checks all take (d, D) and read
-one assembly, assemble_columns(d, D), the only place that picks its
-columns: 0..min(6, K), K = max(1, D - d).  chain_check multiplies
-consecutive matrices out of columns 0..min(5, K - 1), collapse_check
-ranks the counted cells of columns 1..min(5, K) and verify_generators
-reads d0's images and the fold matrices.
+lowest new fold cell.  verify's three checks all take (d, D) and share
+one reader, assemble_columns(d, D), which assembles a matrix on its
+first read and keeps it, so a check builds only the cells it reads.
+With K = max(1, D - d), chain_check multiplies consecutive matrices out
+of columns 0..min(5, K - 1), collapse_check ranks the counted cells of
+columns 1..min(5, K) and verify_generators reads d0's images and the
+fold matrices.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
@@ -36,6 +37,7 @@ degree by degree, that they exhaust the computed second page.
 """
 
 from collections import defaultdict, namedtuple
+from functools import cache, partial
 
 from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
@@ -125,13 +127,15 @@ def _grid(d, D):
     piece = _piece_for(s, True)  # None for odd d
     off = piece.offset(s) if piece else 0  # = d; t's Thom degree is d + 1
     euler = space_series(piece.space(s), D).tshift(off) if piece else Series.zero(D)
+    tpiece = _piece_for(t, False)
     for n in range(D0 + 1, D + 1) if piece else ():
         src = IndexedBasis(d, 0, n, [BasisElement(s, piece, m)
                                      for m in orbit_reps(piece.space(s), n - off)])
-        tgt = IndexedBasis(d, 1, n + 1, [BasisElement(t, _piece_for(t, False), m)
+        tgt = IndexedBasis(d, 1, n + 1, [BasisElement(t, tpiece, m)
                                          for m in enumerate_monomials(t.vars, n - off)])
-        cols = [{tgt.position(tel): c for tel, c in restriction_expansion(
-            d, 0, s_hom(el.mono, t.vars), t.vars).items()} for el in src]
+        # on t (a = 0: sign +1, full piece, no restriction) d0 is s_hom itself
+        cols = [{tgt.position(BasisElement(t, tpiece, m)): c
+                 for m, c in s_hom(el.mono, t.vars).items()} for el in src]
         if LinearMap(src, tgt, cols).rank() != euler[n]:
             raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
     for k, counted in {0: euler, **_counted_ranks(d, range(1, 6), D)}.items():
@@ -171,7 +175,7 @@ class PageReport(namedtuple("PageReport", "d R D cells total closed mismatch")):
 
     @property
     def ok(self):
-        return self.closed is None or self.mismatch is None
+        return self.mismatch is None
 
     def __repr__(self):
         tag = "inf" if _norm_R(self.R) is None else str(_norm_R(self.R))
@@ -203,8 +207,7 @@ def e2_ranks(d, R, D):
             total[n] += e2
     total = Series(total, D)
     closed = closed_form(d, R, D)
-    mismatch = total.first_mismatch(closed) if closed is not None else None
-    return PageReport(d, R, D, cells, total, closed, mismatch)
+    return PageReport(d, R, D, cells, total, closed, total.first_mismatch(closed))
 
 
 def _P(a, b, D):
@@ -223,10 +226,9 @@ def closed_form(d, R, D):
     """The closed-form rank series for H^*(A_R), truncated at D.
 
     Encoded for every d >= 1 and every R >= 1 or R = inf, by residue of
-    d mod 4.  Returns None only for parameters outside that range.
+    d mod 4; raises ValueError outside that range.
     """
-    if d < 1:
-        return None
+    enumerate_strata(d, 0)  # rejects d < 1
     Rn = _norm_R(R)
     B = _P(d, 0, D)
     # tau block: one family per a_top <= d/2 of the parity of d + 1
@@ -292,6 +294,7 @@ def closed_form(d, R, D):
 
 def closed_form_notes(d, R):
     """Conventions baked into closed_form that a report should surface."""
+    enumerate_strata(d, 0)  # rejects d < 1
     notes = []
     Rn = _norm_R(R)
     if d % 2 == 0 and Rn == 1:
@@ -351,6 +354,8 @@ def generator_classes(d, D):
     and nothing maps into, gives the I classes (I_top at a = b).
     """
     fold_strata = enumerate_strata(d, 1)  # rejects d < 1
+    if D < 0:
+        raise ValueError("max degree %d is below 0" % D)
     out = []
     fold = d + 1
     for a_top in range((d + 1) % 2, d // 2 + 1, 2):
@@ -411,12 +416,11 @@ class CheckReport(namedtuple("CheckReport", "title entries")):
 
 
 def assemble_columns(d, D):
-    """{(k, n): assemble_matrix(d, k, n)} for -1 <= n <= D and the columns
-    verify's checks read: 0..min(6, K), K = max(1, D - d)."""
+    """The reader verify's checks share: maps(k, n) is assemble_matrix(d, k, n),
+    assembled on its first read and kept."""
     if D < 0:
         raise ValueError("max degree %d is below 0" % D)
-    return {(k, n): assemble_matrix(d, k, n) for k in range(min(6, max(1, D - d)) + 1)
-            for n in range(-1, D + 1)}
+    return cache(partial(assemble_matrix, d))
 
 
 def verify_generators(d, D, *, maps=None):
@@ -437,12 +441,12 @@ def verify_generators(d, D, *, maps=None):
     bad_kernel = 0
     sigma_ok = True
     span_bad = None
-    for n in range(D + 1):
+    for n in range(1, D + 1):  # degree 0 holds no fold cell and no class
         # d0 is zero for odd d (column 0 has no Euler piece), so its
         # image rows are empty there; the grid already holds their rank
-        image_rows = [col for col in maps[(0, n - 1)].cols if col]
+        image_rows = [col for col in maps(0, n - 1).cols if col]
         im = ranks.get((0, n - 1), 0)
-        fold = maps[(1, n)]
+        fold = maps(1, n)
         vecs = {"sigma": [], "rest": []}
         for cl in by_deg.get(n, []):
             vec = {fold.source.position(el): c for el, c in cl.expansion.items()}
@@ -475,7 +479,7 @@ def chain_check(d, D, *, maps=None):
     # column outer, degree inner: the first failing cell is the
     # smallest in (column, degree) order
     bad = next(((k, n) for k in range(min(6, max(1, D - d))) for n in range(D)
-                if any(maps[(k + 1, n + 1)].apply(col) for col in maps[(k, n)].cols)),
+                if any(maps(k + 1, n + 1).apply(col) for col in maps(k, n).cols)),
                None)
     return CheckReport("chain check d=%d, D=%d" % (d, D), [(
         "chain condition d(d(x)) = 0", bad is None,
@@ -494,13 +498,13 @@ def collapse_check(d, D, *, maps=None):
     maps = maps or assemble_columns(d, D)
     # column 2 reads its images from the assembled column 1, so a
     # miscounted column 1 fails only its own entry
-    fold = [maps[(1, n)].rank() for n in range(D + 1)]
+    fold = [maps(1, n).rank() for n in range(D + 1)]
     miscount = "degree %d: counted rank %d, assembled rank %d"
     entries = []
     for k in range(2, min(5, max(1, D - d)) + 1):
         bad = ""
         for n in range(D + 1):
-            rk, got = ranks.get((k, n), 0), maps[(k, n)].rank()
+            rk, got = ranks.get((k, n), 0), maps(k, n).rank()
             ker = sizes.get((k, n), 0) - rk
             im = fold[n - 1] if k == 2 and n else ranks.get((k - 1, n - 1), 0)
             if rk != got:

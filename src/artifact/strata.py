@@ -38,14 +38,6 @@ class Stratum(namedtuple("Stratum", "level a b sign")):
         return tuple.__new__(cls, (level, a, b, sign))
 
     @property
-    def d(self):
-        if self.level == 0:
-            return self.a
-        if self.level == 1:
-            return self.a + self.b - 1
-        return self.a + self.b
-
-    @property
     def vars(self):
         return VariableSet(self.a, self.b)
 

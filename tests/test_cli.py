@@ -209,9 +209,9 @@ def test_verify_reports_a_negative_e2_after_the_collapse_entries(
 def test_verify_reports_a_short_d0_sub_block(capsys, monkeypatch, fresh_grid):
     # the column-0 certificate raises from the grid, which the collapse
     # check builds first; the checks before it keep their entries
-    real = pages.restriction_expansion
-    monkeypatch.setattr(pages, "restriction_expansion", lambda d, a_top, terms, vs: (
-        {} if a_top == 0 and list(terms) == [((), (0, 1))] else real(d, a_top, terms, vs)))
+    real = pages.s_hom
+    monkeypatch.setattr(pages, "s_hom", lambda m, target: (
+        {} if target.na == 0 and m == ((0, 1), ()) else real(m, target)))
     code = main(["verify", "--dim", "4", "--max-degree", "40"])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""

@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 
 from artifact import differentials, pages
 from artifact.cli import main
-from artifact.differentials import _piece_for, LinearMap
-from artifact.e1 import column_series
-from artifact.grading import Series, space_series
+from artifact.differentials import _piece_for, LinearMap, d0
+from artifact.e1 import BasisElement, column_series
+from artifact.grading import Series, space_series, orbit_reps, s_hom
 from artifact.loopspace import loopspace_series
 from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes,
     verify_generators, chain_check, collapse_check, PageReport, CheckReport,
 )
-from artifact.strata import enumerate_strata
+from artifact.strata import Stratum, enumerate_strata
 
 
 def test_d4_full_sequence_series():
@@ -213,10 +213,11 @@ def test_chain_check_reports_smallest_failure_across_diagonals():
     # is nonzero at a failing cell and right above one, so the product
     # d(k + 1, n + 1) d(k, n) is nonzero exactly at the failing cells
     failing = {(3, 1), (2, 3), (1, 9), (1, 12)}
-    maps = {(k, n): LinearMap(None, None, [{0: 1} if {(k, n), (k - 1, n - 1)} & failing
+    fake = {(k, n): LinearMap(None, None, [{0: 1} if {(k, n), (k - 1, n - 1)} & failing
                                            else {}])
-            for k in range(7) for n in range(-1, 21)}
-    assert chain_check(4, 20, maps=maps).entries[0][2] == "column 1 degree 9"
+            for k in range(7) for n in range(21)}
+    assert chain_check(4, 20, maps=lambda k, n: fake[(k, n)]).entries[0][2] == \
+        "column 1 degree 9"
 
 
 @pytest.mark.parametrize("d,D,count", [(4, 18, 8), (5, 18, 13),
@@ -341,10 +342,9 @@ def test_short_d0_sub_block_raises_under_O():
     import artifact
     code = (
         "from artifact import pages\n"
-        "real = pages.restriction_expansion\n"
-        "pages.restriction_expansion = lambda d, a_top, terms, vs: (\n"
-        "    {} if a_top == 0 and list(terms) == [((), (0, 1))]\n"
-        "    else real(d, a_top, terms, vs))\n"
+        "real = pages.s_hom\n"
+        "pages.s_hom = lambda m, target: (\n"
+        "    {} if target.na == 0 and m == ((0, 1), ()) else real(m, target))\n"
         "try:\n"
         "    pages.e2_ranks(4, 'inf', 20)\n"
         "except ArithmeticError as e:\n"
@@ -456,6 +456,40 @@ def test_the_grid_assembles_one_new_fold_cell_per_growth(monkeypatch):
     assert grid(25, 30, 12, cold=False) == ([], 0)
 
 
+def test_a_check_called_alone_assembles_only_the_cells_it_reads(monkeypatch):
+    # the checks read assemble_columns' reader, which assembles a cell on
+    # its first read and keeps it: collapse_check reads columns 1..5 and
+    # verify_generators columns 0 and 1, each cell once
+    e2_ranks(6, "inf", 12)  # the grid's guard cell is assembled apart
+    calls = []
+    real = pages.assemble_matrix
+    monkeypatch.setattr(pages, "assemble_matrix",
+                        lambda d, k, n: calls.append((k, n)) or real(d, k, n))
+    assert collapse_check(6, 12).ok
+    assert {k for k, _ in calls} == {1, 2, 3, 4, 5}
+    assert len(calls) == len(set(calls))
+    del calls[:]
+    assert verify_generators(6, 12).ok
+    assert {k for k, _ in calls} == {0, 1}
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("d", range(2, 13, 2))
+def test_d0_on_the_a0_fold_stratum_is_s_hom(d):
+    # the grid's column-0 certificate builds d0's rows on (0, d + 1) as
+    # s_hom into that stratum's variables, with no staircase around it
+    [s], t = enumerate_strata(d, 0), Stratum(1, 0, d + 1)
+    piece, tpiece = _piece_for(s, True), _piece_for(t, False)
+    seen = 0
+    for md in range(41 - piece.offset(s)):
+        for m in orbit_reps(piece.space(s), md):
+            image = d0(d, BasisElement(s, piece, m))
+            assert {el: c for el, c in image.items() if el.stratum == t} == \
+                {BasisElement(t, tpiece, tm): c for tm, c in s_hom(m, t.vars).items()}
+            seen += 1
+    assert seen
+
+
 @pytest.mark.parametrize("R", [0, -1, "0"])
 def test_truncation_below_one_is_rejected(R):
     for fn in (e2_ranks, closed_form, loopspace_series):
@@ -474,11 +508,11 @@ def test_negative_max_degree_is_rejected_under_O():
     import artifact
     code = (
         "from artifact.pages import (e2_ranks, chain_check, collapse_check,\n"
-        "    verify_generators)\n"
+        "    verify_generators, generator_classes)\n"
         "from artifact.loopspace import loopspace_series\n"
         "calls = [lambda: e2_ranks(6, 'inf', -1), lambda: loopspace_series(6, 'inf', -1),\n"
         "         lambda: chain_check(4, -1), lambda: collapse_check(4, -1),\n"
-        "         lambda: verify_generators(4, -1)]\n"
+        "         lambda: verify_generators(4, -1), lambda: generator_classes(4, -1)]\n"
         "for i, call in enumerate(calls):\n"
         "    try:\n"
         "        call()\n"
@@ -491,7 +525,7 @@ def test_negative_max_degree_is_rejected_under_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["max degree -1 is below 0"] * 5
+    assert proc.stdout.splitlines() == ["max degree -1 is below 0"] * 6
 
 
 def test_truncation_below_one_is_rejected_under_O():
@@ -516,13 +550,17 @@ def test_dimension_and_level_are_rejected_under_O():
     import artifact
     code = (
         "from artifact.pages import (e2_ranks, generator_classes,\n"
-        "    verify_generators, chain_check, collapse_check, closed_form)\n"
+        "    verify_generators, chain_check, collapse_check, closed_form,\n"
+        "    closed_form_notes)\n"
+        "from artifact.loopspace import mmm_subseries\n"
         "from artifact.actions import oracle_crosscheck\n"
         "from artifact.e1 import column_series\n"
         "calls = [lambda: e2_ranks(-2, 'inf', 10), lambda: e2_ranks(0, 'inf', 10),\n"
         "         lambda: verify_generators(-1, 10), lambda: generator_classes(0, 10),\n"
         "         lambda: chain_check(0, 10), lambda: collapse_check(0, 10),\n"
         "         lambda: oracle_crosscheck(0, 1, 10), lambda: column_series(0, 1, 10),\n"
+        "         lambda: closed_form(0, 'inf', 10), lambda: closed_form_notes(0, 'inf'),\n"
+        "         lambda: mmm_subseries(0, 10),\n"
         "         lambda: oracle_crosscheck(4, 0, 10), lambda: oracle_crosscheck(4, -1, 10)]\n"
         "for call in calls:\n"
         "    try:\n"
@@ -530,8 +568,7 @@ def test_dimension_and_level_are_rejected_under_O():
         "    except ValueError as e:\n"
         "        print(e)\n"
         "    else:\n"
-        "        raise SystemExit('accepted')\n"
-        "assert closed_form(0, 'inf', 10) is None\n")
+        "        raise SystemExit('accepted')\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
@@ -540,5 +577,5 @@ def test_dimension_and_level_are_rejected_under_O():
     assert proc.stdout.splitlines() == [
         "dimension difference -2 is below 1", "dimension difference 0 is below 1",
         "dimension difference -1 is below 1"] + \
-        ["dimension difference 0 is below 1"] * 5 + \
+        ["dimension difference 0 is below 1"] * 8 + \
         ["level 0 is below 1", "level -1 is below 0"]

@@ -61,7 +61,6 @@ def test_even_levels_have_no_signs():
 @settings(max_examples=60)
 def test_symbol_pairs_sum_correctly(d, level):
     for s in enumerate_strata(d, level):
-        assert s.d == d
         if level == 0:
             assert (s.a, s.b) == (d, 0)
         elif level == 1:
