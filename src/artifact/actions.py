@@ -12,8 +12,11 @@ applying a substitution to the ordered product above picks up Koszul
 signs when two odd-degree symbols trade places.
 
 This module builds those groups from the generator tables and counts
-invariants by signed orbit enumeration, degree by degree.  It is the
-independent route to the content rules hard-coded in strata.py, and the
+invariants by signed orbit enumeration, degree by degree.  A
+substitution's sign on an ambient element depends only on its Euler
+flags, so each stratum reads one sign table per flag pair and walks
+each orbit once.  It is the independent route to the content rules
+hard-coded in strata.py (it imports them only to compare), and the
 crosscheck between the two is part of the acceptance suite.
 """
 
@@ -106,14 +109,12 @@ def symmetry_action(s):
     return [alpha, beta]
 
 
-def apply_gen(g, s, x):
-    """Apply a substitution to an ambient basis element (ea, eb, mono).
+def gen_sign(g, s, ea, eb):
+    """The sign g picks up on every ambient element with Euler flags (ea, eb).
 
-    Returns (sign, element).  The Koszul sign (-1)^(a*b) enters once for
-    the U_a U_b transposition and once more for e_a e_b when both Euler
-    factors are present.
+    The Koszul sign (-1)^(a*b) enters once for the U_a U_b transposition
+    and once more for e_a e_b when both Euler factors are present.
     """
-    ea, eb, m = x
     sign = g.su_a * g.su_b
     if s.level >= 2:
         sign *= g.su_k
@@ -121,15 +122,25 @@ def apply_gen(g, s, x):
         sign *= g.se_a
     if eb:
         sign *= g.se_b
+    if g.exchange:
+        koszul = -1 if (s.a * s.b) % 2 else 1
+        sign *= koszul
+        if ea and eb:
+            sign *= koszul
+    return sign
+
+
+def apply_gen(g, s, x):
+    """Apply a substitution to an ambient basis element (ea, eb, mono).
+
+    Returns (sign, element), the sign being gen_sign's.
+    """
+    ea, eb, m = x
     if not g.exchange:
-        return sign, x
+        return gen_sign(g, s, ea, eb), x
     if s.a != s.b:
         raise ValueError("exchange applied to stratum %r with a != b" % (s,))
-    koszul = -1 if (s.a * s.b) % 2 else 1
-    sign *= koszul
-    if ea and eb:
-        sign *= koszul
-    return sign, (eb, ea, mono_swap(m))
+    return gen_sign(g, s, ea, eb), (eb, ea, mono_swap(m))
 
 
 def ambient_elements(s, n):
@@ -152,24 +163,30 @@ def invariant_series(s, D):
 
     An orbit contributes 1 unless some group element fixes one of its
     elements with sign -1, in which case the signed orbit sum vanishes.
+    A substitution that exchanges maps x = (ea, eb, m) to (eb, ea, swap m)
+    and any other fixes x, so the orbit of x is {x, swap x}, and the
+    elements fixing x are all of G if x is swap-fixed and the
+    non-exchanging ones if not.  Their signs depend on x only through
+    (ea, eb), so one table says whether an orbit dies: O(1) per x.
     """
     G = group_closure(symmetry_action(s))
+    swap = next((g for g in G if g.exchange), None)
+    # (ea, eb, x swap-fixed) -> whether a substitution fixing x has sign -1
+    dead = {(ea, eb, fixed): any(gen_sign(g, s, ea, eb) < 0
+                                 for g in G if fixed or not g.exchange)
+            for ea in (0, 1) for eb in (0, 1) for fixed in (False, True)}
     c = [0] * (D + 1)
     for n in range(s.thom_degree, D + 1):
         seen = set()
         for x in ambient_elements(s, n):
-            if x in seen:
-                continue
-            orbit = set()
-            dead = False
-            for g in G:
-                sign, y = apply_gen(g, s, x)
-                orbit.add(y)
-                if y == x and sign < 0:
-                    dead = True
-            seen.update(orbit)
-            if not dead:
-                c[n] += 1
+            fixed = False
+            if swap is not None:
+                if x in seen:
+                    continue
+                y = apply_gen(swap, s, x)[1]
+                seen.add(y)
+                fixed = y == x
+            c[n] += not dead[x[0], x[1], fixed]
     return Series(c, D)
 
 

@@ -35,6 +35,7 @@ or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 """
 
 from collections import namedtuple
+from weakref import WeakValueDictionary
 
 from .grading import (
     VariableSet, mono_swap, restrict_terms, s_hom, is_orbit_rep,
@@ -118,9 +119,15 @@ def restriction_expansion(d, a_top, terms, vs):
     restrict_terms to the variables of the fold stratum (a, d+1-a).
     """
     out = {}
+    # restrict_terms reads only the target's na, nb, which for even d
+    # the strata a = 2j and 2j + 1 share: restrict once per pair
+    kept = {}
     for a in range(a_top + 1):
         t = Stratum(1, a, d + 1 - a)
-        _expand(out, t, False, restrict_terms(terms, vs, t.vars), fold_sign(a))
+        ranges = (t.vars.na, t.vars.nb)
+        if ranges not in kept:
+            kept[ranges] = restrict_terms(terms, vs, t.vars)
+        _expand(out, t, False, kept[ranges], fold_sign(a))
     return out
 
 
@@ -238,10 +245,28 @@ class LinearMap(namedtuple("LinearMap", "source target cols")):
             self.source.degree, self.target.degree)
 
 
+# the bases some assembled matrix still holds, by (d, k, n)
+_BASES = WeakValueDictionary()
+
+
+def _basis(d, k, n):
+    """build_basis(d, k, n), or the same basis if a live matrix holds it."""
+    basis = _BASES.get((d, k, n))
+    if basis is None:
+        basis = _BASES[(d, k, n)] = build_basis(d, k, n)
+    return basis
+
+
 def assemble_matrix(d, k, n):
-    """Matrix of the differential out of column k, total degree n."""
-    src = build_basis(d, k, n)
-    tgt = build_basis(d, k + 1, n + 1)
+    """Matrix of the differential out of column k, total degree n.
+
+    The source basis of (k, n) is the target basis of (k - 1, n - 1):
+    while one matrix holding a basis is alive, every other matrix that
+    needs it shares it, so a caller that keeps its matrices (the reader
+    of pages.assemble_columns) builds each basis once.
+    """
+    src = _basis(d, k, n)
+    tgt = _basis(d, k + 1, n + 1)
     cols = []
     for el in src:
         cols.append({tgt.position(tel): c for tel, c in differential(d, el).items()})

@@ -41,9 +41,13 @@ class BasisElement(namedtuple("BasisElement", "stratum piece mono")):
 
 
 class IndexedBasis:
-    """Ordered basis of one (column, degree) spot with an index lookup."""
+    """Ordered basis of one (column, degree) spot with an index lookup.
 
-    __slots__ = ("d", "column", "degree", "elements", "index")
+    Assembled matrices share their bases (differentials.assemble_matrix):
+    read one, never mutate it.
+    """
+
+    __slots__ = ("d", "column", "degree", "elements", "index", "__weakref__")
 
     def __init__(self, d, column, degree, elements):
         self.d = d

@@ -24,12 +24,18 @@ symmetric and skew flavors is stated once, in is_orbit_rep.
 
 The kernels the generator labels and certificates lean on (s_hom,
 enumerate_monomials, mono_str and poly_str) work on exponent tuples and
-plain dicts.  Bad arguments raise ValueError and the exactness guard in
-space_series raises ArithmeticError, so every check holds under
+plain dicts.  Each piece of their work is done once per process: s_hom
+keeps every Whitney image per target and builds a new one from the kept
+image of m / p_i, and mono_key and mono_str keep their value per
+monomial, until pages.clear_cache() empties the tables.  A kept image is
+handed to every caller as it is, never copied, so callers read it and
+never mutate it.  Bad arguments raise ValueError and the exactness guard
+in space_series raises ArithmeticError, so every check holds under
 python -O.
 """
 
 from collections import namedtuple
+from functools import cache
 from itertools import count
 from operator import mul
 
@@ -80,11 +86,12 @@ def mono_swap(m):
     return (fs, es)
 
 
+@cache
 def mono_key(m):
     """Graded order, then comparison of (primed, unprimed) exponent tuples.
 
     Puts p_1 before p'_1, and orders the degree 8 block of P(2, 2) as
-    p_1^2, p_1 p'_1, p'_1^2.
+    p_1^2, p_1 p'_1, p'_1^2.  Kept per monomial, as mono_str is.
     """
     es, fs = m
     return (mono_degree(m), fs, es)
@@ -115,6 +122,7 @@ def enumerate_monomials(vs, degree):
     return [(t[nb:], t[:nb]) for t in _exponent_tuples(weights, degree)]
 
 
+@cache
 def mono_str(m):
     es, fs = m
     parts = ["p_%d" % i if e == 1 else "p_%d^%d" % (i, e)
@@ -153,32 +161,55 @@ def restrict_terms(terms, va, to):
             if es[na:] == cut_a and fs[nb:] == cut_b}
 
 
+# Whitney images kept per target VariableSet, by source exponent tuple
+_IMAGES = {}
+
+
+def _times_p(terms, i, target):
+    """terms times the image sum_{j=0}^{i} p_j p'_{i-j} of p_i in target.
+
+    A term p_j p'_k raises the exponents at positions (j - 1, k - 1),
+    where -1 stands for the unit p_0 = p'_0; out-of-range factors are 0.
+    """
+    factor = [(j - 1, i - j - 1)
+              for j in range(max(0, i - target.nb), min(i, target.na) + 1)]
+    out = {}
+    for (eu, fu), c in terms.items():
+        for j, k in factor:
+            m2 = (eu if j < 0 else eu[:j] + (eu[j] + 1,) + eu[j + 1:],
+                  fu if k < 0 else fu[:k] + (fu[k] + 1,) + fu[k + 1:])
+            out[m2] = out.get(m2, 0) + c
+    return out
+
+
 def s_hom(m, target):
     """Whitney splitting of a single-set monomial into P(a, b), as a
     {monomial: int} dict.
 
     The source monomial lives in Q[p_1 .. p_n] (a VariableSet with no
     primed part).  Each p_i goes to sum_{j=0}^{i} p_j p'_{i-j} with
-    p_0 = p'_0 = 1 and any out-of-range factor set to 0; the images
-    multiply out in the target ring, on exponent tuples: a term p_j p'_k
-    raises the exponents at positions (j - 1, k - 1), where -1 stands
-    for the unit p_0 = p'_0.
+    p_0 = p'_0 = 1 and any out-of-range factor set to 0.  Images are
+    kept per target until pages.clear_cache(): the image of m is the
+    kept image of m / p_i times the image of p_i, for the first p_i that
+    divides m, built bottom up in a loop, so no exponent is too deep.
+    The returned dict is the kept one, shared by every caller: read it,
+    never mutate it.
     """
     es, fs = m
     if any(fs):
         raise ValueError("s_hom sources carry no primed variables")
-    terms = {mono_one(target): 1}
-    for i, e in enumerate(es, 1):
-        factor = [(j - 1, i - j - 1)
-                  for j in range(max(0, i - target.nb), min(i, target.na) + 1)]
-        for _ in range(e):
-            out = {}
-            for (eu, fu), c in terms.items():
-                for j, k in factor:
-                    m2 = (eu if j < 0 else eu[:j] + (eu[j] + 1,) + eu[j + 1:],
-                          fu if k < 0 else fu[:k] + (fu[k] + 1,) + fu[k + 1:])
-                    out[m2] = out.get(m2, 0) + c
-            terms = out
+    table = _IMAGES.setdefault(target, {})
+    chain = []  # (exponents, index i of the p_i that divides them), top down
+    while es not in table and any(es):
+        # dividing by the first p_i multiplies by the shortest factor
+        i = next(t for t, e in enumerate(es) if e)
+        chain.append((es, i + 1))
+        es = es[:i] + (es[i] - 1,) + es[i + 1:]
+    terms = table.get(es)
+    if terms is None:  # the unit
+        terms = table[es] = {mono_one(target): 1}
+    for es, i in reversed(chain):
+        terms = table[es] = _times_p(terms, i, target)
     return terms
 
 

@@ -12,7 +12,10 @@ the collapse and generator checks eliminate the maps they assemble.
 Each block is eliminated fraction-free (cross multiplication followed
 by content reduction), so the rank over Q comes out of integer
 arithmetic alone; the pivot is chosen deterministically as the first
-row holding the smallest column index.
+row holding the largest column index.  The rank does not depend on that
+order, but the fill-in does: over `verify --dim 12 --max-degree 76` the
+rows elimination creates hold about 10 thousand entries in all, against
+4.5 million when it pivoted on the smallest index.
 """
 
 from math import gcd
@@ -35,8 +38,8 @@ def _eliminate(work):
     while work:
         best = None
         for i, r in enumerate(work):
-            mc = min(r)
-            if best is None or mc < best[0]:
+            mc = max(r)
+            if best is None or mc > best[0]:
                 best = (mc, i)
         col, i = best
         pivot = work.pop(i)

@@ -24,7 +24,9 @@ certifies only the new degrees: column 0 by d0's sub-block in each new
 degree, column 1 by assembling one guard cell per build or growth, the
 lowest new fold cell.  verify's three checks all take (d, D) and share
 one reader, assemble_columns(d, D), which assembles a matrix on its
-first read and keeps it, so a check builds only the cells it reads.
+first read and keeps it, so a check builds only the cells it reads, and
+builds each (column, degree) basis once for the two matrices that use
+it.
 With K = max(1, D - d), chain_check multiplies consecutive matrices out
 of columns 0..min(5, K - 1), collapse_check ranks the counted cells of
 columns 1..min(5, K) and verify_generators reads d0's images and the
@@ -34,6 +36,11 @@ The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
 them with their fold-column expansions and verify_generators checks,
 degree by degree, that they exhaust the computed second page.
+
+clear_cache() empties the grid and every table the modules below keep
+for reuse (Whitney images, monomial keys and labels, stratum content
+and variable sets, shared bases); the tables change no result, only
+how often the same work is done.
 """
 
 from collections import defaultdict, namedtuple
@@ -42,13 +49,14 @@ from functools import cache, partial
 from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
-    mono_mul, is_orbit_rep, restrict_terms, poly_str,
+    mono_mul, is_orbit_rep, restrict_terms, poly_str, mono_key, mono_str,
+    _IMAGES,
 )
-from .strata import Stratum, enumerate_strata, column_content
+from .strata import Stratum, enumerate_strata, column_content, _variables
 from .e1 import BasisElement, IndexedBasis, column_series
 from .differentials import (
     differential, assemble_matrix, restriction_expansion, element_terms,
-    _piece_for, LinearMap,
+    _piece_for, LinearMap, _BASES,
 )
 from .linalg import rank
 
@@ -70,7 +78,14 @@ _GRID = {}
 
 
 def clear_cache():
+    """Empty the rank grid and every table the modules below it keep: the
+    Whitney images, the monomial keys and labels, the stratum content and
+    variable sets, and the bases that assembled matrices share."""
     _GRID.clear()
+    _IMAGES.clear()
+    _BASES.clear()
+    for table in (mono_key, mono_str, column_content, _variables):
+        table.cache_clear()
 
 
 def _counted_ranks(d, columns, D):
@@ -417,10 +432,19 @@ class CheckReport(namedtuple("CheckReport", "title entries")):
 
 def assemble_columns(d, D):
     """The reader verify's checks share: maps(k, n) is assemble_matrix(d, k, n),
-    assembled on its first read and kept."""
+    assembled on its first read and kept.  The kept matrices share their
+    bases, so the reader builds each (column, degree) basis once, for its
+    source and its target role alike."""
     if D < 0:
         raise ValueError("max degree %d is below 0" % D)
     return cache(partial(assemble_matrix, d))
+
+
+def _reader(d, D, maps):
+    """A check's maps, assemble_columns(d, D) when None.  A reader does not
+    depend on D, so a check given its own still rejects D < 0 here."""
+    reader = assemble_columns(d, D)  # rejects D < 0
+    return reader if maps is None else maps
 
 
 def verify_generators(d, D, *, maps=None):
@@ -432,9 +456,9 @@ def verify_generators(d, D, *, maps=None):
     matches e2(column 1) in every degree up to D.  maps defaults to
     assemble_columns(d, D).
     """
+    maps = _reader(d, D, maps)
     _, sizes, ranks = _grid(d, D)
     classes = generator_classes(d, D)
-    maps = maps or assemble_columns(d, D)
     by_deg = defaultdict(list)
     for cl in classes:
         by_deg[cl.degree].append(cl)
@@ -475,7 +499,7 @@ def chain_check(d, D, *, maps=None):
     """d(d(x)) = 0 out of columns 0..min(5, K - 1), K = max(1, D - d), in
     every degree below D, as the products d(k + 1, n + 1) d(k, n) of
     assemble_columns(d, D)'s matrices (maps defaults to it)."""
-    maps = maps or assemble_columns(d, D)
+    maps = _reader(d, D, maps)
     # column outer, degree inner: the first failing cell is the
     # smallest in (column, degree) order
     bad = next(((k, n) for k in range(min(6, max(1, D - d))) for n in range(D)
@@ -494,8 +518,8 @@ def collapse_check(d, D, *, maps=None):
     certify its counted rank; columns 1..5 are the ones the grid counts.
     maps defaults to assemble_columns(d, D).
     """
+    maps = _reader(d, D, maps)
     _, sizes, ranks = _grid(d, D)
-    maps = maps or assemble_columns(d, D)
     # column 2 reads its images from the assembled column 1, so a
     # miscounted column 1 fails only its own entry
     fold = [maps(1, n).rank() for n in range(D + 1)]

@@ -19,12 +19,16 @@ hash by their fields.
 """
 
 from collections import namedtuple
+from functools import cache
 
 from .grading import (
     VariableSet, FlavoredSpace, Series, FULL, SYM, SKEW, space_series,
 )
 
 PLUS, MINUS = 1, -1
+
+# one VariableSet per symbol pair, kept until pages.clear_cache()
+_variables = cache(VariableSet)
 
 
 class Stratum(namedtuple("Stratum", "level a b sign")):
@@ -39,7 +43,7 @@ class Stratum(namedtuple("Stratum", "level a b sign")):
 
     @property
     def vars(self):
-        return VariableSet(self.a, self.b)
+        return _variables(self.a, self.b)
 
     @property
     def thom_degree(self):
@@ -101,6 +105,7 @@ class ContentPiece(namedtuple("ContentPiece", "euler flavor")):
         return s.thom_degree + (s.euler_degree if self.euler else 0)
 
 
+@cache
 def column_content(s):
     """Flavored pieces of one stratum, Euler-less pieces dropped.
 
@@ -108,7 +113,9 @@ def column_content(s):
     exists).  At a = b the swap action cuts each piece to one eigenspace:
     fold strata keep skew + e.sym, level 2r keeps sym (r even) or skew
     (r odd) on both pieces.  Odd levels >= 3 carry a single full piece,
-    with an Euler factor exactly when r = (level-1)/2 is odd.
+    with an Euler factor exactly when r = (level-1)/2 is odd.  The list
+    is kept per stratum until pages.clear_cache() and shared by every
+    caller: read it, never mutate it.
     """
     lv = s.level
     e_ok = euler_available(s)

@@ -127,6 +127,41 @@ class TestOracle:
         assert all(line.startswith("ok") for line in lines)
 
 
+def _orbit_walk_series(s, D):
+    # the reference count: apply every group element to every ambient
+    # element, collect each orbit, and drop it when an element fixing
+    # its first member has sign -1
+    G = group_closure(symmetry_action(s))
+    c = [0] * (D + 1)
+    for n in range(s.thom_degree, D + 1):
+        seen = set()
+        for x in ambient_elements(s, n):
+            if x in seen:
+                continue
+            orbit = set()
+            dead = False
+            for g in G:
+                sign, y = apply_gen(g, s, x)
+                orbit.add(y)
+                if y == x and sign < 0:
+                    dead = True
+            seen.update(orbit)
+            if not dead:
+                c[n] += 1
+    return Series(c, D)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_sign_tables_match_the_orbit_walk(d):
+    # invariant_series reads one sign table per Euler-flag pair instead
+    # of applying the group to each element; levels 1..8 cover every
+    # level residue mod 4 on both sides of the fold
+    D = 40
+    for level in range(1, 9):
+        for s in enumerate_strata(d, level):
+            assert invariant_series(s, D) == _orbit_walk_series(s, D), s
+
+
 def _break_content(monkeypatch, target, degree):
     # the table content of one stratum gains a class, so the oracle
     # and the table first disagree there

@@ -271,6 +271,27 @@ class TestSplittingHom:
                 want = _times(want, w)
         assert s_hom(m, tgt) == want
 
+    @pytest.mark.parametrize("m, tgt", [
+        (((130,), ()), VariableSet(0, 9)),
+        (((130,), ()), VariableSet(2, 2)),
+        (((0, 0, 0, 0, 0, 0, 0, 0, 1500), ()), VariableSet(0, 18)),
+        (((3, 40, 0, 2), ()), VariableSet(4, 5)),
+    ])
+    def test_deep_exponents_match_the_product_from_the_unit(self, m, tgt):
+        # s_hom builds each image from the kept image of m / p_i in a
+        # loop, so an exponent past the recursion limit is no deeper
+        # than any other; the reference multiplies out from the unit
+        def unit(n, i):
+            return tuple(int(t == i - 1) for t in range(n))
+
+        want = {mono_one(tgt): 1}
+        for i, e in enumerate(m[0], 1):
+            w = {(unit(tgt.na, j), unit(tgt.nb, i - j)): 1
+                 for j in range(i + 1) if j <= tgt.na and i - j <= tgt.nb}
+            for _ in range(e):
+                want = _times(want, w)
+        assert s_hom(m, tgt) == want
+
     def test_multiplicative(self):
         tgt = VariableSet(4, 4)
         f = s_hom(((1, 0), ()), tgt)

@@ -1,5 +1,7 @@
 """Exact sparse rank computations."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,47 @@ def test_adding_a_combination_keeps_rank(vs):
             combo[c] = combo.get(c, 0) + x
     combo = {c: x for c, x in combo.items() if x}
     assert rank(rows + [combo]) == rank(rows)
+
+
+def _gauss_jordan_rank(rows, width):
+    # rank over Q by Fraction Gauss-Jordan on dense rows, pivoting left
+    # to right: an order independent of the one rank uses
+    m = [[Fraction(r.get(c, 0)) for c in range(width)] for r in rows]
+    rk = 0
+    for c in range(width):
+        p = next((i for i in range(rk, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[rk], m[p] = m[p], m[rk]
+        m[rk] = [x / m[rk][c] for x in m[rk]]
+        for i in range(len(m)):
+            if i != rk and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rk])]
+        rk += 1
+    return rk
+
+
+sparse_rows = st.integers(1, 12).flatmap(lambda width: st.tuples(
+    st.just(width),
+    st.lists(st.dictionaries(st.integers(0, width - 1),
+                             st.integers(-6, 6).filter(bool), max_size=4),
+             max_size=10)))
+
+
+@given(sparse_rows, st.randoms(use_true_random=False))
+@settings(max_examples=150)
+def test_rank_matches_gauss_jordan_under_any_column_labels(wrows, rnd):
+    # rank pivots on the largest column index; neither that choice nor a
+    # relabelling of the columns may change the rank
+    width, rows = wrows
+    want = _gauss_jordan_rank(rows, width)
+    assert rank(rows) == want
+    relabel = list(range(width))
+    rnd.shuffle(relabel)
+    assert rank([{relabel[c]: x for c, x in r.items()} for r in rows]) == want
+    reverse = [{width - 1 - c: x for c, x in r.items()} for r in rows]
+    assert rank(reverse) == want
 
 
 blocks = st.lists(st.lists(vectors, min_size=1, max_size=4), min_size=1, max_size=5)

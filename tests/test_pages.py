@@ -14,13 +14,13 @@ from artifact import differentials, pages
 from artifact.cli import main
 from artifact.differentials import _piece_for, LinearMap, d0
 from artifact.e1 import BasisElement, column_series
-from artifact.grading import Series, space_series, orbit_reps, s_hom
+from artifact.grading import Series, VariableSet, space_series, orbit_reps, s_hom
 from artifact.loopspace import loopspace_series
 from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes,
     verify_generators, chain_check, collapse_check, PageReport, CheckReport,
 )
-from artifact.strata import Stratum, enumerate_strata
+from artifact.strata import Stratum, enumerate_strata, column_content
 
 
 def test_d4_full_sequence_series():
@@ -474,6 +474,56 @@ def test_a_check_called_alone_assembles_only_the_cells_it_reads(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+def _tables():
+    # every table clear_cache empties, with its size
+    from artifact import grading, strata
+    return {"grid": len(pages._GRID), "images": len(grading._IMAGES),
+            "bases": len(differentials._BASES),
+            "mono_key": grading.mono_key.cache_info().currsize,
+            "mono_str": grading.mono_str.cache_info().currsize,
+            "column_content": strata.column_content.cache_info().currsize,
+            "variables": strata._variables.cache_info().currsize}
+
+
+def _certify(d, D):
+    # one verify battery and the generator labels, on one shared reader;
+    # the caller keeps the reader, whose matrices keep the shared bases
+    maps = pages.assemble_columns(d, D)
+    checks = [chain_check(d, D, maps=maps), collapse_check(d, D, maps=maps),
+              verify_generators(d, D, maps=maps)]
+    labels = [cl.label() for cl in generator_classes(d, D)]
+    return [c.entries for c in checks], labels, maps
+
+
+def test_clear_cache_empties_every_table():
+    pages.clear_cache()
+    first, labels, maps = _certify(6, 30)
+    assert all(_tables().values()), _tables()
+    pages.clear_cache()
+    assert not any(_tables().values()), _tables()
+    # the tables are caches only: a second cold run gives the same results
+    second, labels2, _ = _certify(6, 30)
+    assert (second, labels2) == (first, labels)
+    pages.clear_cache()
+
+
+def test_kept_tables_are_shared_not_copied():
+    pages.clear_cache()
+    sq = VariableSet(6, 6)
+    img = s_hom(((1, 1, 1), ()), sq)
+    assert s_hom(((1, 1, 1), ()), sq) is img
+    s = Stratum(2, 2, 4)
+    assert column_content(s) is column_content(s) and s.vars is s.vars
+    # a reader's cells share the basis of (k + 1, n + 1) between the
+    # target of (k, n) and the source of (k + 1, n + 1)
+    maps = pages.assemble_columns(6, 30)
+    assert maps(1, 9).target is maps(2, 10).source
+    pages.clear_cache()
+    assert s_hom(((1, 1, 1), ()), sq) is not img
+    assert s_hom(((1, 1, 1), ()), sq) == img
+    pages.clear_cache()
+
+
 @pytest.mark.parametrize("d", range(2, 13, 2))
 def test_d0_on_the_a0_fold_stratum_is_s_hom(d):
     # the grid's column-0 certificate builds d0's rows on (0, d + 1) as
@@ -508,11 +558,15 @@ def test_negative_max_degree_is_rejected_under_O():
     import artifact
     code = (
         "from artifact.pages import (e2_ranks, chain_check, collapse_check,\n"
-        "    verify_generators, generator_classes)\n"
+        "    verify_generators, generator_classes, assemble_columns)\n"
         "from artifact.loopspace import loopspace_series\n"
         "calls = [lambda: e2_ranks(6, 'inf', -1), lambda: loopspace_series(6, 'inf', -1),\n"
         "         lambda: chain_check(4, -1), lambda: collapse_check(4, -1),\n"
-        "         lambda: verify_generators(4, -1), lambda: generator_classes(4, -1)]\n"
+        "         lambda: verify_generators(4, -1), lambda: generator_classes(4, -1),\n"
+        "         # a reader does not depend on D, so a check given one still checks D\n"
+        "         lambda: chain_check(4, -1, maps=assemble_columns(4, 0)),\n"
+        "         lambda: collapse_check(4, -1, maps=assemble_columns(4, 0)),\n"
+        "         lambda: verify_generators(4, -1, maps=assemble_columns(4, 0))]\n"
         "for i, call in enumerate(calls):\n"
         "    try:\n"
         "        call()\n"
@@ -525,7 +579,7 @@ def test_negative_max_degree_is_rejected_under_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["max degree -1 is below 0"] * 6
+    assert proc.stdout.splitlines() == ["max degree -1 is below 0"] * 9
 
 
 def test_truncation_below_one_is_rejected_under_O():
