@@ -8,9 +8,10 @@ the rational cohomology of BSO_a x BSO_b away from Euler classes, with
 deg p_i = deg p'_i = 4i.  When the two variable ranges agree the swap
 involution exchanges primed and unprimed variables and splits P(a, b)
 into symmetric and skew summands.  Rank counting happens in truncated
-integer power series in one variable t.  free_gca_series is the one
-kernel that expands the series of a free algebra; space_series calls it
-for P(a, b) and its swap-fixed subring, and Series only adds and shifts.
+integer power series in one variable t.  free_gca_series, the one kernel
+that expands a free algebra's series, runs one pass per unit of multiplicity
+up to 2 m^2 adds and its log-derivative recurrence beyond; space_series
+calls it for P(a, b) and its swap-fixed subring.  Series adds and shifts.
 
 All arithmetic is exact.  A polynomial is a {monomial: int} dict, and
 every map the engine applies (Whitney splitting, restriction, swap, the
@@ -29,14 +30,15 @@ keeps every Whitney image per target and builds a new one from the kept
 image of m / p_i, and mono_key and mono_str keep their value per
 monomial, until pages.clear_cache() empties the tables.  A kept image is
 handed to every caller as it is, never copied, so callers read it and
-never mutate it.  Bad arguments raise ValueError and the exactness guard
-in space_series raises ArithmeticError, so every check holds under
-python -O.
+never mutate it.  Bad arguments raise ValueError and the exactness guards
+in space_series and free_gca_series raise ArithmeticError, so every
+check holds under python -O.
 """
 
 from collections import namedtuple
 from functools import cache
 from itertools import count
+from math import gcd
 from operator import mul
 
 
@@ -295,22 +297,46 @@ def free_gca_series(gens, D):
     gens maps generator degree (>= 1) to multiplicity (>= 0): the algebra
     is polynomial on the even generators and exterior on the odd ones.
     A degree-0 entry would sit in the unit; it and a negative
-    multiplicity raise ValueError.
+    multiplicity raise ValueError, for the lowest such degree first.
+    The series comes from one pass per unit of multiplicity, g (D - n + 1)
+    additions per generator, or from the log-derivative recurrence on the
+    multiples of q = gcd(n <= D), about m^2 / 2 products for m = D // q:
+    the passes run when they add at most 2 m^2 times.
     """
-    c = [1] + [0] * D
     for n in sorted(gens):
-        g = gens[n]
-        if n < 1 or g < 0:
+        if n < 1 or gens[n] < 0:
             raise ValueError("generator degree %d with multiplicity %d: the "
                              "degree must be >= 1 and the multiplicity >= 0"
-                             % (n, g))
-        # an even generator divides by 1 - t^n: ascending k reads the
-        # coefficients this pass already raised.  An odd one multiplies
-        # by 1 + t^n: descending k reads only the old ones
-        ks = range(n, D + 1) if n % 2 == 0 else range(D, n - 1, -1)
-        for _ in range(g):
-            for k in ks:
-                c[k] += c[k - n]
+                             % (n, gens[n]))
+    live = {n: g for n, g in gens.items() if n <= D and g}
+    c = [1] + [0] * D
+    q = gcd(*live) or 1
+    m = D // q
+    # per call the paths break even near 0.5-2 m^2 adds (Python 3.11, 2-CPU
+    # VM); on the session-sweep and e2-cold calls 1-2 m^2 is within 5 % of best
+    if sum(g * (D - n + 1) for n, g in live.items()) <= 2 * m * m:
+        for n, g in live.items():
+            # an even generator divides by 1 - t^n: ascending k reads the
+            # coefficients this pass already raised.  An odd one multiplies
+            # by 1 + t^n: descending k reads only the old ones
+            ks = range(n, D + 1) if n % 2 == 0 else range(D, n - 1, -1)
+            for _ in range(g):
+                for k in ks:
+                    c[k] += c[k - n]
+        return Series(c, D)
+    # t C' = B C for B = sum n g t^n / (1 -+ t^n); on the multiples of q,
+    # k q c_kq = sum_{i=1..k} b_iq c_(k-i)q, with rb the b_iq reversed
+    b = [0] * (m + 1)
+    for n, g in live.items():
+        for j, i in enumerate(range(n // q, m + 1, n // q)):
+            b[i] += n * g if n % 2 == 0 or j % 2 == 0 else -n * g
+    rb, cq = b[::-1], [1]
+    for k in range(1, m + 1):
+        x, r = divmod(sum(map(mul, cq, rb[m - k:])), k * q)
+        if r:
+            raise ArithmeticError("coefficient %d is not whole" % (k * q))
+        cq.append(x)
+    c[::q] = cq
     return Series(c, D)
 
 

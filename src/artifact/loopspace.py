@@ -9,6 +9,8 @@ Poincare series of the whole characteristic-class algebra is
     prod_{n even} (1 - t^n)^{-g_n} * prod_{n odd} (1 + t^n)^{g_n},
 
 which grading.free_gca_series expands, as it does every ring series.
+With thousands of generators it takes the log-derivative recurrence,
+O((D/q)^2) products for q the gcd of the degrees, not a pass per unit.
 
 The column-0 survivors form the subalgebra of ordinary bundle classes;
 mmm_subseries returns its rank series, which is independent of the

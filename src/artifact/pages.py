@@ -207,7 +207,8 @@ def e2_ranks(d, R, D):
     cells = {}
     total = [0] * (D + 1)
     for n in range(D + 1):
-        for k in range(kmax + 1):
+        # column k >= 1 starts at its Thom degree d + k
+        for k in range(min(kmax, max(n - d, 0)) + 1):
             size = sizes.get((k, n), 0)
             if size == 0:
                 continue

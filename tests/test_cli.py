@@ -142,6 +142,43 @@ def test_verify_json_bytes_are_pinned(capsys, dim, degree, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("dim, r, offset, digest", [
+    (1, "1", 0, "8a79cd9cff9b8cde1af024f4a2a64bc82bc4139197ff485229b812226a5fb6eb"),
+    (1, "inf", 0, "366ab33665e93e5b27b443bc1d002d1d4f09711ed6b5c8b28a29eceea4452a26"),
+    (2, "1", 0, "27d3e4c6d71bdeb17834a19c0d9a573195a379b669b71dd8162bf6767984e5bb"),
+    (2, "inf", 0, "30c0f88f00fa403d0e8cd130b89e5fd0d83e240c701770edb334d5278e38a859"),
+    (3, "1", 0, "b51b99a8c4c1249f0fa3a6226b59016e5e3c7175af8780d21c4a55b5822fd111"),
+    (3, "inf", 0, "28ea5302cab3be12d4ee006449450ba2c889d49b4d010921f5c6642bea59ad9e"),
+    (4, "1", 0, "391cf61f5b77a31bdbba573221d5f427d20ccb309c489f81bdffc3321e6c49e1"),
+    (4, "inf", 0, "c18d06ea9b7318f4f5b2d4a9ffb59e288d85eb3e595559744bcc60e67350f82f"),
+    (5, "1", 0, "a59fc2baf6486011417bc1266f54955398dd937ab13aa397392b2a060d224507"),
+    (5, "inf", 0, "bd87f32eedb74dbbf2c7cfb9e7b93f4634fa0d5f05e61ac0edec611f87589434"),
+    (6, "1", 0, "5a2083dfa6a76f7e0e59930cfb4e4225820178a03425a41e58eda109e6f7b09b"),
+    (6, "inf", 0, "a9dcfd81c7be51c6f596c5f7e323e4a8d1ac0936ace92cf17cfe0f452d38b956"),
+    (7, "1", 0, "ffb5fbc6b5adb060e9276ddfaaba400f1ddfd2c77f626cbb9177b825707403b3"),
+    (7, "inf", 0, "4ccf5b0bfb9196b7ff3aad6f1152b25ce23bb27498a6a69624276f9e2c622a85"),
+    (8, "1", 0, "733637819ca2a48dd7b88d13737aa096dc353b4bc6b651635aa79391a837e68d"),
+    (8, "inf", 0, "1ea8bf2313f6e1b9f7b2fdbc3008b8b088dd0a934a84aea70baf9e4971b2fbf1"),
+    (9, "1", 0, "6e4af522cc5f65e47c980028321cb396d872d5b6ac677ab73205bf4d5afe786a"),
+    (9, "inf", 0, "11de9246e8132753709f1d4ea1f6176125e8632d6019ee53a06eb13e0b3e6f61"),
+    (10, "1", 0, "320476b540c5dd0879c0c3a1761bd1e07b5dec55cb34cc4646795fb0aca38e97"),
+    (10, "inf", 0, "fd7973bc9510487f2738d5f4d73424fae27fe1d4854551b269e9f3b2fee7a2c7"),
+    (11, "1", 0, "2474d9b8f04436a3429e911e7ebded33d037598c287ce1b92aa5b9e5ed36e992"),
+    (11, "inf", 0, "f75473fbad247e26d674ea01ec0595ad19616bab345096384c7d6d0e9eaf3d1a"),
+    (12, "1", 0, "c0157866835a1c4fef5ca19dbad10802b1806aa83a844c46e52892f669955c22"),
+    (12, "inf", 0, "fb7ea941eb2341be7ac42ba71f404131968c49396e8d34540a1c7de34215d8a8"),
+    (6, "2", 2, "2e3629d5906a1365fe27c6dbcb0fc42afce4521a8397cc7a00eb6f343b691ab2"),
+])
+def test_loopspace_json_bytes_are_pinned(capsys, dim, r, offset, digest):
+    # the loop-space series expand thousands of second-page generators
+    # at D = 100; every coefficient byte is pinned
+    code, out = run_cli(capsys, "loopspace", "--dim", str(dim), "--r", r,
+                        "--max-degree", "100", "--offset", str(offset),
+                        "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_oracle_ok(capsys):
     code, out = run_cli(capsys, "oracle", "--dim", "5", "--level", "2",
                         "--max-degree", "16")

@@ -38,6 +38,12 @@ def test_rejects_degree_zero():
         free_gca_series({0: 1}, 8)
 
 
+def test_rejects_the_lowest_bad_degree_first():
+    # every entry is checked in ascending degree before any work
+    with pytest.raises(ValueError, match="^generator degree 0 with"):
+        free_gca_series({5: -1, 0: 1}, 8)
+
+
 def test_rejects_negative_multiplicity_under_O():
     import artifact
     code = (
@@ -79,6 +85,44 @@ def _repeated_product(gens, D):
 def test_matches_repeated_product(gens, D):
     # the reference multiplies dense factors and shares no code with the kernel
     assert free_gca_series(gens, D).c == _repeated_product(gens, D)
+
+
+def _passes(gens, D):
+    """The series multiplied out one factor per unit of multiplicity."""
+    c = [1] + [0] * D
+    for n in sorted(gens):
+        ks = range(n, D + 1) if n % 2 == 0 else range(D, n - 1, -1)
+        for _ in range(gens[n]):
+            for k in ks:
+                c[k] += c[k - n]
+    return c
+
+
+@given(st.dictionaries(st.integers(1, 30), st.integers(0, 500), max_size=6),
+       st.integers(0, 100))
+@settings(max_examples=40, deadline=None)
+def test_matches_passes_at_loop_space_sizes(gens, D):
+    assert free_gca_series(gens, D).c == _passes(gens, D)
+
+
+@pytest.mark.parametrize("gens, D", [
+    # ring series of P(a, b): the passes run up to top = 3 at D = 40 and
+    # top = 6 at D = 100, the recurrence for the rest
+    *[({4 * i: 2 for i in range(1, top + 1)}, D)
+      for top in (1, 3, 6, 12) for D in (16, 40, 100)],
+    ({8 * i: 1 for i in range(1, 4)}, 100),
+])
+def test_ring_series_match_passes_on_each_side_of_the_choice(gens, D):
+    assert free_gca_series(gens, D).c == _passes(gens, D)
+
+
+@pytest.mark.parametrize("d", [6, 12])
+@pytest.mark.parametrize("R", [1, 2, "inf"])
+def test_loopspace_matches_passes(d, R):
+    # second-page counts: thousands of units, the recurrence runs
+    total = e2_ranks(d, R, 100).total
+    gens = {n: total[n] for n in range(1, 101) if total[n]}
+    assert loopspace_series(d, R, 100).c == _passes(gens, 100)
 
 
 @given(st.dictionaries(st.integers(1, 10), st.integers(0, 2), max_size=3),

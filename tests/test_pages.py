@@ -633,3 +633,36 @@ def test_dimension_and_level_are_rejected_under_O():
         "dimension difference -1 is below 1"] + \
         ["dimension difference 0 is below 1"] * 8 + \
         ["level 0 is below 1", "level -1 is below 0"]
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_grid_has_no_cell_below_the_thom_degree(d):
+    # e2_ranks reads column k >= 1 only from degree d + k on
+    _, sizes, ranks = pages._grid(d, 70)
+    assert not [key for key in sizes if key[0] >= 1 and key[1] < d + key[0]]
+    assert not [key for key in ranks if key[0] >= 1 and key[1] < d + key[0]]
+
+
+def _rectangle_cells(d, R, D):
+    # every (k, n) of the full rectangle k <= kmax, n <= D, in e2_ranks' order
+    Rn = pages._norm_R(R)
+    _, sizes, ranks = pages._grid(d, D)
+    K = max(1, D - d)
+    kmax = K if Rn is None else min(Rn, K)
+    cells = []
+    for n in range(D + 1):
+        for k in range(kmax + 1):
+            size = sizes.get((k, n), 0)
+            if size:
+                out_rank = 0 if k == Rn else ranks.get((k, n), 0)
+                im_in = ranks.get((k - 1, n - 1), 0)
+                cells.append((k, n, size, out_rank, size - out_rank, im_in,
+                              size - out_rank - im_in))
+    return cells
+
+
+@pytest.mark.parametrize("d, R, D", [(1, "inf", 30), (4, 2, 40), (6, 1, 60),
+                                     (6, "inf", 100), (9, 3, 50), (12, 4, 70)])
+def test_e2_cells_match_the_full_rectangle(d, R, D):
+    assert [tuple(c) for c in e2_ranks(d, R, D).cells.values()] == \
+        _rectangle_cells(d, R, D)
