@@ -19,7 +19,7 @@ for g in sorted(classes, key=lambda c: c.degree):
 g = next(c for c in classes if c.kind == "sigma")
 print()
 print("expansion of %s across the fold strata:" % g.label())
-for name, coeff in g.expansion.items():
+for name, coeff in g.expansion(5).items():
     print("  %+d * %s" % (coeff, name))
 
 print()

@@ -27,7 +27,8 @@ The kernels the generator labels and certificates lean on (s_hom,
 enumerate_monomials, mono_str and poly_str) work on exponent tuples and
 plain dicts.  Each piece of their work is done once per process: s_hom
 keeps every Whitney image per target and builds a new one from the kept
-image of m / p_i, and mono_key and mono_str keep their value per
+image of m / p_i, the images hold one shared copy of each monomial and
+exponent tuple, and mono_key and mono_str keep their value per
 monomial, until pages.clear_cache() empties the tables.  A kept image is
 handed to every caller as it is, never copied, so callers read it and
 never mutate it.  Bad arguments raise ValueError and the exactness guards
@@ -163,8 +164,10 @@ def restrict_terms(terms, va, to):
             if es[na:] == cut_a and fs[nb:] == cut_b}
 
 
-# Whitney images kept per target VariableSet, by source exponent tuple
+# Whitney images kept per target VariableSet, by source exponent tuple, and
+# the one copy of each monomial and exponent tuple their terms hold
 _IMAGES = {}
+_SHARED = {}
 
 
 def _times_p(terms, i, target):
@@ -176,10 +179,13 @@ def _times_p(terms, i, target):
     factor = [(j - 1, i - j - 1)
               for j in range(max(0, i - target.nb), min(i, target.na) + 1)]
     out = {}
+    share = _SHARED.setdefault
     for (eu, fu), c in terms.items():
         for j, k in factor:
-            m2 = (eu if j < 0 else eu[:j] + (eu[j] + 1,) + eu[j + 1:],
-                  fu if k < 0 else fu[:k] + (fu[k] + 1,) + fu[k + 1:])
+            e = eu if j < 0 else eu[:j] + (eu[j] + 1,) + eu[j + 1:]
+            f = fu if k < 0 else fu[:k] + (fu[k] + 1,) + fu[k + 1:]
+            m2 = (share(e, e), share(f, f))
+            m2 = share(m2, m2)
             out[m2] = out.get(m2, 0) + c
     return out
 
@@ -194,6 +200,7 @@ def s_hom(m, target):
     kept per target until pages.clear_cache(): the image of m is the
     kept image of m / p_i times the image of p_i, for the first p_i that
     divides m, built bottom up in a loop, so no exponent is too deep.
+    Equal monomials and exponent tuples of the images are one object.
     The returned dict is the kept one, shared by every caller: read it,
     never mutate it.
     """

@@ -34,13 +34,14 @@ fold matrices.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
-them with their fold-column expansions and verify_generators checks,
-degree by degree, that they exhaust the computed second page.
+their labels and degrees, and verify_generators checks, degree by
+degree, that they exhaust the computed second page, building each
+class's fold-column expansion in its degree's step and dropping it after.
 
 clear_cache() empties the grid and every table the modules below keep
-for reuse (Whitney images, monomial keys and labels, stratum content
-and variable sets, shared bases); the tables change no result, only
-how often the same work is done.
+for reuse (Whitney images and the monomials they share, monomial keys
+and labels, stratum content and variable sets, shared bases); the
+tables change no result, only how often the same work is done.
 """
 
 from collections import defaultdict, namedtuple
@@ -50,7 +51,7 @@ from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
     mono_mul, is_orbit_rep, restrict_terms, poly_str, mono_key, mono_str,
-    _IMAGES,
+    _IMAGES, _SHARED,
 )
 from .strata import Stratum, enumerate_strata, column_content, _variables
 from .e1 import BasisElement, IndexedBasis, column_series
@@ -79,11 +80,12 @@ _GRID = {}
 
 def clear_cache():
     """Empty the rank grid and every table the modules below it keep: the
-    Whitney images, the monomial keys and labels, the stratum content and
-    variable sets, and the bases that assembled matrices share."""
+    Whitney images and the monomials they share, the monomial keys and
+    labels, the stratum content and variable sets, and the bases that
+    assembled matrices share."""
     _GRID.clear()
-    _IMAGES.clear()
-    _BASES.clear()
+    for table in (_IMAGES, _SHARED, _BASES):
+        table.clear()
     for table in (mono_key, mono_str, column_content, _variables):
         table.cache_clear()
 
@@ -332,13 +334,14 @@ def closed_form_notes(d, R):
     return notes
 
 
-class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree expansion")):
-    """One explicit fold-column kernel class with its expansion.
+class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree recipe")):
+    """One explicit fold-column kernel class.
 
     kind is 'tau', 'sigma', 'i', or 'i_top'; family is the tau index j,
     the even symbol a of an I class, or None; data is the defining
-    polynomial as a {monomial: int} dict; expansion maps fold basis
-    elements to coefficients.
+    polynomial as a {monomial: int} dict; recipe is what expansion(d)
+    builds the class from: the (a_top, variable set) a tau or sigma class
+    restricts data from, or an I class's basis element.
     """
 
     __slots__ = ()
@@ -351,6 +354,14 @@ class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree expan
         if self.kind == "i":
             return "I[a=%d](%s)" % (self.family, poly_str(self.data))
         return "I_top(%s)" % poly_str(self.data)
+
+    def expansion(self, d):
+        """The class's fold basis elements mapped to coefficients, built
+        anew on each call and kept by no one."""
+        if self.kind in ("i", "i_top"):
+            return {self.recipe: 1}
+        a_top, vs = self.recipe
+        return restriction_expansion(d, a_top, self.data, vs)
 
     def __repr__(self):
         return "%s deg=%d" % (self.label(), self.degree)
@@ -378,26 +389,26 @@ def generator_classes(d, D):
         ring = VariableSet(a_top, d + 1 - a_top)
         idx = ring.nb
         unit = ((0,) * ring.na, tuple(1 if t == idx - 1 else 0 for t in range(ring.nb)))
+        recipe = (a_top, ring)
         for md in range(0, D - fold - 4 * idx + 1, 4):
             for m in enumerate_monomials(ring, md):
-                p = {mono_mul(m, unit): 1}
-                out.append(GeneratorClass("tau", a_top // 2, p, fold + 4 * idx + md,
-                                          restriction_expansion(d, a_top, p, ring)))
+                out.append(GeneratorClass("tau", a_top // 2, {mono_mul(m, unit): 1},
+                                          fold + 4 * idx + md, recipe))
     if d % 2 == 0:
         square = VariableSet(d, d)
+        recipe = (d // 2, square)
         for md in range(0, D - fold + 1, 4):
             for m in enumerate_monomials(VariableSet(d, 0), md):
-                q = s_hom((m[0], ()), square)
-                out.append(GeneratorClass("sigma", None, q, fold + md,
-                                          restriction_expansion(d, d // 2, q, square)))
+                out.append(GeneratorClass("sigma", None, s_hom((m[0], ()), square),
+                                          fold + md, recipe))
         return out
     d2 = (d + 1) // 2
     square = VariableSet(d2, d2)
+    recipe = (d2, square)
     for md in range(0, D - fold + 1, 4):
         for k in orbit_reps(FlavoredSpace(square, SKEW), md):
-            q = {k: 1, mono_swap(k): -1}
-            out.append(GeneratorClass("sigma", None, q, fold + md,
-                                      restriction_expansion(d, d2, q, square)))
+            out.append(GeneratorClass("sigma", None, {k: 1, mono_swap(k): -1},
+                                      fold + md, recipe))
     for s in fold_strata:
         piece = _piece_for(s, True)
         if piece is None:
@@ -407,7 +418,7 @@ def generator_classes(d, D):
             for m in orbit_reps(piece.space(s), md):
                 el = BasisElement(s, piece, m)
                 out.append(GeneratorClass(kind, family, element_terms(el),
-                                          el.degree, {el: 1}))
+                                          el.degree, el))
     return out
 
 
@@ -474,7 +485,7 @@ def verify_generators(d, D, *, maps=None):
         fold = maps(1, n)
         vecs = {"sigma": [], "rest": []}
         for cl in by_deg.get(n, []):
-            vec = {fold.source.position(el): c for el, c in cl.expansion.items()}
+            vec = {fold.source.position(el): c for el, c in cl.expansion(d).items()}
             bad_kernel += bool(fold.apply(vec))
             key = "sigma" if (d % 2 == 0 and cl.kind == "sigma") else "rest"
             vecs[key].append(vec)

@@ -12,9 +12,14 @@ from hypothesis import strategies as st
 
 from artifact import differentials, pages
 from artifact.cli import main
-from artifact.differentials import _piece_for, LinearMap, d0
+from artifact.differentials import (
+    _piece_for, LinearMap, d0, element_terms, restriction_expansion,
+)
 from artifact.e1 import BasisElement, column_series
-from artifact.grading import Series, VariableSet, space_series, orbit_reps, s_hom
+from artifact.grading import (
+    Series, VariableSet, FlavoredSpace, SKEW, space_series, orbit_reps, s_hom,
+    enumerate_monomials, mono_mul, mono_swap,
+)
 from artifact.loopspace import loopspace_series
 from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes,
@@ -239,15 +244,74 @@ def test_a_changed_class_coefficient_fails_the_kernel_check(monkeypatch, d, D):
     # the class vector: one coefficient raised at an element that d_fold
     # does not kill takes that class out of the kernel
     classes = generator_classes(d, D)
-    i, el = next((i, el) for i, cl in enumerate(classes) for el in cl.expansion
-                 if differentials.differential(d, el))
-    expansion = dict(classes[i].expansion)
-    expansion[el] += 1
-    classes[i] = classes[i]._replace(expansion=expansion)
+    changed, el = next((cl, el) for cl in classes for el in cl.expansion(d)
+                       if differentials.differential(d, el))
+    built = pages.GeneratorClass.expansion
+
+    def expansion(cl, d):
+        out = built(cl, d)
+        if cl is changed:
+            out[el] += 1
+        return out
+
     monkeypatch.setattr(pages, "generator_classes", lambda d, D: classes)
+    monkeypatch.setattr(pages.GeneratorClass, "expansion", expansion)
     assert verify_generators(d, D).entries[0] == (
         "generators: all classes lie in ker d1", False,
         "%d classes, 1 failures" % len(classes))
+
+
+def _eager_classes(d, D):
+    # the classes as (kind, family, data, degree, expansion), each
+    # expansion built up front: the recipe expansion(d) must rebuild
+    out = []
+    fold = d + 1
+    for a_top in range((d + 1) % 2, d // 2 + 1, 2):
+        ring = VariableSet(a_top, d + 1 - a_top)
+        idx = ring.nb
+        unit = ((0,) * ring.na, tuple(1 if t == idx - 1 else 0 for t in range(ring.nb)))
+        for md in range(0, D - fold - 4 * idx + 1, 4):
+            for m in enumerate_monomials(ring, md):
+                p = {mono_mul(m, unit): 1}
+                out.append(("tau", a_top // 2, p, fold + 4 * idx + md,
+                            restriction_expansion(d, a_top, p, ring)))
+    if d % 2 == 0:
+        square = VariableSet(d, d)
+        for md in range(0, D - fold + 1, 4):
+            for m in enumerate_monomials(VariableSet(d, 0), md):
+                q = s_hom((m[0], ()), square)
+                out.append(("sigma", None, q, fold + md,
+                            restriction_expansion(d, d // 2, q, square)))
+        return out
+    d2 = (d + 1) // 2
+    square = VariableSet(d2, d2)
+    for md in range(0, D - fold + 1, 4):
+        for k in orbit_reps(FlavoredSpace(square, SKEW), md):
+            q = {k: 1, mono_swap(k): -1}
+            out.append(("sigma", None, q, fold + md,
+                        restriction_expansion(d, d2, q, square)))
+    for s in enumerate_strata(d, 1):
+        piece = _piece_for(s, True)
+        if piece is None:
+            continue
+        kind, family = ("i_top", None) if s.a == s.b else ("i", s.a)
+        for md in range(0, D - piece.offset(s) + 1, 4):
+            for m in orbit_reps(piece.space(s), md):
+                el = BasisElement(s, piece, m)
+                out.append((kind, family, element_terms(el), el.degree, {el: 1}))
+    return out
+
+
+def test_expansion_rebuilds_the_eager_classes():
+    seen = set()
+    for d in range(1, 13):
+        classes = generator_classes(d, 40)
+        assert [(cl.kind, cl.family, cl.data, cl.degree, cl.expansion(d))
+                for cl in classes] == _eager_classes(d, 40), d
+        seen |= {(cl.kind, d % 2) for cl in classes}
+    # tau of both parities, even and odd sigma, I and I_top
+    assert seen == {("tau", 0), ("tau", 1), ("sigma", 0), ("sigma", 1),
+                    ("i", 1), ("i_top", 1)}
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
@@ -276,7 +340,7 @@ def test_generator_class_reprs_are_pinned():
 def test_generator_degrees_within_bound():
     for cl in generator_classes(5, 17):
         assert cl.degree <= 17
-        assert cl.expansion
+        assert cl.expansion(5)
 
 
 @given(st.integers(1, 9), st.integers(0, 30), st.integers(1, 4))
@@ -478,6 +542,7 @@ def _tables():
     # every table clear_cache empties, with its size
     from artifact import grading, strata
     return {"grid": len(pages._GRID), "images": len(grading._IMAGES),
+            "shared": len(grading._SHARED),
             "bases": len(differentials._BASES),
             "mono_key": grading.mono_key.cache_info().currsize,
             "mono_str": grading.mono_str.cache_info().currsize,
@@ -512,6 +577,14 @@ def test_kept_tables_are_shared_not_copied():
     sq = VariableSet(6, 6)
     img = s_hom(((1, 1, 1), ()), sq)
     assert s_hom(((1, 1, 1), ()), sq) is img
+    # images share their monomials and exponent tuples: equal ones are one
+    # object (the unit image aside, which _times_p does not build)
+    images = [s_hom(m, sq) for md in range(4, 25, 4)
+              for m in enumerate_monomials(VariableSet(6, 0), md)]
+    monos = [m for image in images for m in image]
+    exponents = [t for m in monos for t in m]
+    assert len({id(m) for m in monos}) == len(set(monos)) < len(monos)
+    assert len({id(t) for t in exponents}) == len(set(exponents)) < len(exponents)
     s = Stratum(2, 2, 4)
     assert column_content(s) is column_content(s) and s.vars is s.vars
     # a reader's cells share the basis of (k + 1, n + 1) between the
