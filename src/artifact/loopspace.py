@@ -19,7 +19,7 @@ truncation order.
 
 from .grading import FlavoredSpace, space_series, free_gca_series
 from .strata import enumerate_strata
-from .pages import e2_ranks
+from .pages import _e2_cells
 
 
 def loopspace_series(d, R, D, offset=0):
@@ -31,10 +31,12 @@ def loopspace_series(d, R, D, offset=0):
     ValueError if the offset moves a generator below degree 1.
     """
     top = max(1, D - offset)
-    report = e2_ranks(d, R, top)
+    total = [0] * (top + 1)
+    for c in _e2_cells(d, R, top):
+        total[c[1]] += c[-1]
     gens = {}
     for n in range(1, top + 1):
-        g = report.total[n]
+        g = total[n]
         if g:
             if n + offset < 1:
                 raise ValueError(

@@ -200,14 +200,13 @@ class PageReport(namedtuple("PageReport", "d R D cells total closed mismatch")):
         return "PageReport(d=%d, R=%s, D=%d, %s)" % (self.d, tag, self.D, state)
 
 
-def e2_ranks(d, R, D):
-    """Second-page ranks of the R-truncated sequence, all degrees <= D."""
+def _e2_cells(d, R, D):
+    """Yield the fields of a PageCell for every nonzero cell of the
+    R-truncated page in degrees <= D, degree by degree."""
     Rn = _norm_R(R)
     _, sizes, ranks = _grid(d, D)
     K = max(1, D - d)
     kmax = K if Rn is None else min(Rn, K)
-    cells = {}
-    total = [0] * (D + 1)
     for n in range(D + 1):
         # column k >= 1 starts at its Thom degree d + k
         for k in range(min(kmax, max(n - d, 0)) + 1):
@@ -221,8 +220,16 @@ def e2_ranks(d, R, D):
             if e2 < 0:
                 raise ArithmeticError(
                     "image exceeds kernel at column %d degree %d" % (k, n))
-            cells[(k, n)] = PageCell(k, n, size, out_rank, ker, im_in, e2)
-            total[n] += e2
+            yield k, n, size, out_rank, ker, im_in, e2
+
+
+def e2_ranks(d, R, D):
+    """Second-page ranks of the R-truncated sequence, all degrees <= D."""
+    cells = {}
+    total = [0] * (D + 1)
+    for c in _e2_cells(d, R, D):
+        cells[c[:2]] = PageCell._make(c)
+        total[c[1]] += c[-1]
     total = Series(total, D)
     closed = closed_form(d, R, D)
     return PageReport(d, R, D, cells, total, closed, total.first_mismatch(closed))

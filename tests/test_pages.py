@@ -375,28 +375,30 @@ def test_cache_survives_clearing():
 def test_negative_e2_raises_under_O():
     # the e2 >= 0 guard is what catches a rank that overcounts, so it
     # must survive -O; a fold count above the cell's size (4) trips it
-    # in that cell, past the grid's guard cell in degree 5
+    # in that cell, past the grid's guard cell in degree 5; the loop-space
+    # series reads the same sums and keeps the guard
     import artifact
     code = (
-        "from artifact import pages\n"
+        "from artifact import pages, loopspace\n"
         "real = pages._counted_ranks\n"
         "def over(d, columns, D):\n"
         "    ranks = real(d, columns, D)\n"
         "    ranks[1].c[9] += 2\n"
         "    return ranks\n"
         "pages._counted_ranks = over\n"
-        "try:\n"
-        "    pages.e2_ranks(4, 'inf', 12)\n"
-        "except ArithmeticError as e:\n"
-        "    print(e)\n"
-        "else:\n"
-        "    raise SystemExit('negative e2 accepted')\n")
+        "for fn in (pages.e2_ranks, loopspace.loopspace_series):\n"
+        "    try:\n"
+        "        fn(4, 'inf', 12)\n"
+        "    except ArithmeticError as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('negative e2 accepted')\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "image exceeds kernel at column 1 degree 9"
+    assert proc.stdout.splitlines() == ["image exceeds kernel at column 1 degree 9"] * 2
 
 
 def test_short_d0_sub_block_raises_under_O():
