@@ -11,7 +11,8 @@ into symmetric and skew summands.  Rank counting happens in truncated
 integer power series in one variable t.  free_gca_series, the one kernel
 that expands a free algebra's series, runs one pass per unit of multiplicity
 up to 2 m^2 adds and its log-derivative recurrence beyond; space_series
-calls it for P(a, b) and its swap-fixed subring.  Series adds and shifts.
+calls it for P(a, b) and its swap-fixed subring and keeps each result per
+(space, D).  Series adds and shifts.
 
 All arithmetic is exact.  A polynomial is a {monomial: int} dict, and
 every map the engine applies (Whitney splitting, restriction, swap, the
@@ -28,8 +29,9 @@ enumerate_monomials, mono_str and poly_str) work on exponent tuples and
 plain dicts.  Each piece of their work is done once per process: s_hom
 keeps every Whitney image per target and builds a new one from the kept
 image of m / p_i, the images hold one shared copy of each monomial and
-exponent tuple, and mono_key and mono_str keep their value per
-monomial, until pages.clear_cache() empties the tables.  A kept image is
+exponent tuple that a factor of more than one term makes, mono_key and
+mono_str keep their value per monomial and space_series per (space, D),
+until pages.clear_cache() empties the tables.  A kept image or series is
 handed to every caller as it is, never copied, so callers read it and
 never mutate it.  Bad arguments raise ValueError and the exactness guards
 in space_series and free_gca_series raise ArithmeticError, so every
@@ -179,13 +181,18 @@ def _times_p(terms, i, target):
     factor = [(j - 1, i - j - 1)
               for j in range(max(0, i - target.nb), min(i, target.na) + 1)]
     out = {}
+    # a one-term factor maps distinct monomials to distinct ones, so only
+    # a longer one makes equal monomials that are worth sharing
+    shared = len(factor) > 1
     share = _SHARED.setdefault
     for (eu, fu), c in terms.items():
         for j, k in factor:
             e = eu if j < 0 else eu[:j] + (eu[j] + 1,) + eu[j + 1:]
             f = fu if k < 0 else fu[:k] + (fu[k] + 1,) + fu[k + 1:]
-            m2 = (share(e, e), share(f, f))
-            m2 = share(m2, m2)
+            m2 = (e, f)
+            if shared:
+                m2 = (share(e, e), share(f, f))
+                m2 = share(m2, m2)
             out[m2] = out.get(m2, 0) + c
     return out
 
@@ -200,7 +207,8 @@ def s_hom(m, target):
     kept per target until pages.clear_cache(): the image of m is the
     kept image of m / p_i times the image of p_i, for the first p_i that
     divides m, built bottom up in a loop, so no exponent is too deep.
-    Equal monomials and exponent tuples of the images are one object.
+    Equal monomials and exponent tuples that a many-term factor makes
+    are one object.
     The returned dict is the kept one, shared by every caller: read it,
     never mutate it.
     """
@@ -347,8 +355,14 @@ def free_gca_series(gens, D):
     return Series(c, D)
 
 
+@cache
 def space_series(space, D):
-    """Rank generating series of a flavored space, truncated at D."""
+    """Rank generating series of a flavored space, truncated at D.
+
+    Kept per (space, D), as mono_key is, until pages.clear_cache(): the
+    returned Series is the kept one, shared by every caller, who reads it
+    and never mutates it.
+    """
     vs = space.vars
     full = free_gca_series({4 * i: (i <= vs.na) + (i <= vs.nb)
                             for i in range(1, max(vs.na, vs.nb) + 1)}, D)

@@ -12,8 +12,9 @@ new, or it vanishes.  Pivots have distinct leads, so they are
 independent and the rank is the table's size.  A reduced row stays
 inside the columns of its block, so the rows of different blocks of a
 block-diagonal matrix never meet in the table and the matrix needs no
-split.  The grid ranks d0's fold sub-block (single entries), one fold
-cell per growth and the representative blocks it counts with; the
+split.  The grid ranks d0's fold sub-block (single entries) in each new
+degree, one fold cell per build or growth, and the representative
+blocks it counts with once per d, since it keeps their ranks; the
 collapse and generator checks rank the maps they assemble.
 
 The rank does not depend on which index leads, but the fill-in does:

@@ -14,19 +14,23 @@ encoded per residue of d.
 The grid counts every rank.  Column 0's is its Euler count, certified by
 d0's rows on the fold stratum (0, d + 1).  Out of a column k >= 1 the
 map is a sum of tiny blocks, one per swap orbit {m, swap m} of
-P(d + 1, d + 1), and _counted_ranks ranks one block per type: the
+P(d + 1, d + 1), and _block_ranks ranks one block per type: the
 extents (i, j) of m, with 2(i + j) <= d + 1 (a stratum (a, b) holds
-p_i p'_j only if 2i <= a and 2j <= b), and whether swap m = m.  The
-rules read a level >= 2 only mod 4 and column k's Thom class sits in
-degree d + k, so column k in degree n is column k - 4 in degree n - 4,
-and the grid counts columns up to 5 only.  The grid grows in D and
-certifies only the new degrees: column 0 by d0's sub-block in each new
-degree, column 1 by assembling one guard cell per build or growth, the
-lowest new fold cell.  verify's three checks all take (d, D) and share
-one reader, assemble_columns(d, D), which assembles a matrix on its
-first read and keeps it, so a check builds only the cells it reads, and
-builds each (column, degree) basis once for the two matrices that use
-it.
+p_i p'_j only if 2i <= a and 2j <= b), and whether swap m = m.  No
+block rank depends on D, so the grid ranks them once per d, keeps those
+of nonzero rank, and _counted_ranks sums them against the orbit counts
+up to D.  The rules read a level >= 2 only mod 4 and column k's Thom
+class sits in degree d + k, so column k in degree n is column k - 4 in
+degree n - 4: the grid keeps columns 0..5 alone, and _column reads a
+column k >= 6 as column 2 + (k - 2) % 4, k - that degrees lower.  The
+grid grows in D and certifies only the new degrees: column 0 by d0's
+sub-block in each new degree, column 1 by assembling one guard cell per
+build or growth, the lowest new fold cell, which is all a growth
+applies the differential to.  verify's three checks all take (d, D) and
+share one reader, assemble_columns(d, D), which assembles a matrix on
+its first read and keeps it, so a check builds only the cells it reads,
+and builds each (column, degree) basis once for the two matrices that
+use it.
 With K = max(1, D - d), chain_check multiplies consecutive matrices out
 of columns 0..min(5, K - 1), collapse_check ranks the counted cells of
 columns 1..min(5, K) and verify_generators reads d0's images and the
@@ -40,8 +44,9 @@ class's fold-column expansion in its degree's step and dropping it after.
 
 clear_cache() empties the grid and every table the modules below keep
 for reuse (Whitney images and the monomials they share, monomial keys
-and labels, stratum content and variable sets, shared bases); the
-tables change no result, only how often the same work is done.
+and labels, space series, stratum content and variable sets, shared
+bases); the tables change no result, only how often the same work is
+done.
 """
 
 from collections import defaultdict, namedtuple
@@ -74,70 +79,97 @@ def _norm_R(R):
     return Rn
 
 
-# rank grid cache: d -> (D, sizes, ranks)
+# rank grid cache: d -> (D, sizes, ranks, blocks); sizes[k] and ranks[k]
+# list the cells of column k = 0..5 by degree, blocks are _block_ranks'
 _GRID = {}
 
 
 def clear_cache():
     """Empty the rank grid and every table the modules below it keep: the
     Whitney images and the monomials they share, the monomial keys and
-    labels, the stratum content and variable sets, and the bases that
-    assembled matrices share."""
+    labels, the space series, the stratum content and variable sets, and
+    the bases that assembled matrices share."""
     _GRID.clear()
     for table in (_IMAGES, _SHARED, _BASES):
         table.clear()
-    for table in (mono_key, mono_str, column_content, _variables):
+    for table in (mono_key, mono_str, space_series, column_content, _variables):
         table.cache_clear()
 
 
-def _counted_ranks(d, columns, D):
-    """{k: ranks of d out of column k in every degree <= D}, counted, k >= 1.
+def _block_ranks(d, columns):
+    """[(k, offset, orbit type, rank)] for every block of nonzero rank of d
+    out of the columns k >= 1; no rank depends on a max degree.
 
     Out of a column k >= 1 d keeps the Euler flag and either keeps the
     pair (a, b) or restricts variables (the fold's square neighbour takes
     q - swap q), so it splits into one block per swap orbit {m, swap m}
     of U = P(d + 1, d + 1), whose rank depends only on whether swap m = m
     and on the extents (i, j) of m: the numbers of unprimed and primed
-    variables up to its last nonzero exponent.
+    variables up to its last nonzero exponent.  The orbit type (i, j, y)
+    stands for the orbit of p_i p'_j^y: y = 1 for i < j and for fixed
+    orbits, y = 2 for free ones at i = j > 0 (the unit has none).
     """
     U = VariableSet(d + 1, d + 1)  # holds every stratum's variables
     spaces = {s.vars for k in columns for s in enumerate_strata(d, k)}
-    types = []  # (the orbit restricted into each space, its count), one per type
+    types = []  # (orbit type, its orbit restricted into each space)
     # only types with 2(i + j) <= d + 1 have blocks (see the module docstring)
     for j in range(U.nb + 1):
         for i in range(min(j, U.nb - j) + 1):
-            # m has extents (i, j) iff it is p_i p'_j times a monomial of
-            # P(2i, 2j), so that ring's series count each type's orbits;
-            # p_i p'_i stands for fixed orbits, p_i p'_i^2 for free ones
-            counts = [(1, _P(2 * i, 2 * j, D))] if i < j else [
-                (1, _S(2 * i, 2 * i, D) - _A(2 * i, 2 * i, D)), (2, _A(2 * i, 2 * i, D))]
-            for y, count in counts:
+            for y in (1, 2) if i == j > 0 else (1,):
                 m = (tuple(int(t == i - 1) for t in range(U.na)),
                      tuple(y * (t == j - 1) for t in range(U.nb)))
-                types.append(({vs: restrict_terms({m: 1, mono_swap(m): 1}, U, vs)
-                               for vs in spaces}, count.tshift(4 * (i + j))))
-    out = {}
+                orbit = {m: 1, mono_swap(m): 1}
+                types.append(((i, j, y), {vs: restrict_terms(orbit, U, vs)
+                                          for vs in spaces}))
+    blocks = []
     for k in columns:
         # one Euler flag's pieces share one offset: Thom degree (+ a + b if Euler)
         by_offset = defaultdict(list)
         for s in enumerate_strata(d, k):
             for p in column_content(s):
                 by_offset[p.offset(s)].append((s, p))
-        total = [0] * (D + 1)
         for offset, pairs in by_offset.items():
-            for monos, count in types:
+            for t, monos in types:
                 r = rank([differential(d, BasisElement(s, p, mono)) for s, p in pairs
                           for mono in monos[s.vars] if is_orbit_rep(p.flavor, mono)])
-                for n in range(offset, D + 1) if r else ():
-                    total[n] += r * count.c[n - offset]
-        out[k] = Series(total, D)
-    return out
+                if r:
+                    blocks.append((k, offset, t, r))
+    return blocks
+
+
+def _orbit_count(t, D):
+    """Orbits of type t = (i, j, y) by degree: m has extents (i, j) iff it
+    is p_i p'_j times a monomial of P(2i, 2j), so that ring's series count
+    them, its fixed orbits for y = 1 at i = j and its free ones for y = 2."""
+    i, j, y = t
+    if i < j:
+        count = _P(2 * i, 2 * j, D)
+    elif y == 1:
+        count = _S(2 * i, 2 * i, D) - _A(2 * i, 2 * i, D)
+    else:
+        count = _A(2 * i, 2 * i, D)
+    return count.tshift(4 * (i + j)).c
+
+
+def _counted_ranks(blocks, columns, D):
+    """{k: ranks of the differential out of column k in every degree <= D}:
+    each of _block_ranks' blocks times the count of its orbit type."""
+    counts = {}
+    total = {k: [0] * (D + 1) for k in columns}
+    for k, offset, t, r in blocks:
+        if t not in counts:
+            counts[t] = _orbit_count(t, D)
+        col, count = total[k], counts[t]
+        for n in range(offset, D + 1):
+            col[n] += r * count[n - offset]
+    return {k: Series(col, D) for k, col in total.items()}
 
 
 def _grid(d, D):
-    D0, sizes, ranks = entry = _GRID.get(d, (-1, {}, {}))
-    if D0 >= D:
+    entry = _GRID.get(d)
+    if entry and entry[0] >= D:
         return entry
+    D0, blocks = (entry[0], entry[3]) if entry else (-1, None)
     # d0 kills the plain part of column 0, so its rank is at most the Euler
     # count; its rows on the fold stratum (0, d + 1) reach it (p_i -> p'_i)
     [s], t = enumerate_strata(d, 0), Stratum(1, 0, d + 1)  # rejects d < 1
@@ -155,24 +187,26 @@ def _grid(d, D):
                  for m, c in s_hom(el.mono, t.vars).items()} for el in src]
         if LinearMap(src, tgt, cols).rank() != euler[n]:
             raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
-    for k, counted in {0: euler, **_counted_ranks(d, range(1, 6), D)}.items():
-        for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted.c)):
-            if size:
-                sizes[(k, n)] = size
-                ranks[(k, n)] = rk
-    for k in range(6, D - d + 1):
-        # column k - 4 moved up four degrees (see the module docstring);
-        # fill only the degrees the grid lacks
-        for n in range(max(d + k, D0 + 1), D + 1):
-            if (k - 4, n - 4) in sizes:
-                sizes[(k, n)] = sizes[(k - 4, n - 4)]
-                ranks[(k, n)] = ranks[(k - 4, n - 4)]
+    # a growth keeps the block ranks and sums them again up to the new D
+    if blocks is None:
+        blocks = _block_ranks(d, range(1, 6))
+    counted = {0: euler, **_counted_ranks(blocks, range(1, 6), D)}
+    sizes = [column_series(d, k, D).c for k in range(6)]
+    ranks = [counted[k].c for k in range(6)]
     # a guard per build or growth: the lowest new fold cell with Euler-free elements
     n = max(d + 1, D0 + 1 + (d - D0) % 4)
-    if n <= D and assemble_matrix(d, 1, n).rank() != ranks[(1, n)]:
+    if n <= D and assemble_matrix(d, 1, n).rank() != ranks[1][n]:
         raise ArithmeticError("fold count differs from assembly at degree %d" % n)
-    _GRID[d] = entry = (D, sizes, ranks)
+    _GRID[d] = entry = (D, sizes, ranks, blocks)
     return entry
+
+
+def _column(grid, k):
+    """(sizes, ranks, shift) of column k of a grid: the grid keeps columns
+    0..5, and column k >= 6 is column k' = 2 + (k - 2) % 4 read
+    shift = k - k' degrees lower (see the module docstring)."""
+    kk = k if k < 6 else 2 + (k - 2) % 4
+    return grid[1][kk], grid[2][kk], k - kk
 
 
 class PageCell(namedtuple("PageCell", "column degree e1_rank d_rank kernel_rank "
@@ -204,17 +238,24 @@ def _e2_cells(d, R, D):
     """Yield the fields of a PageCell for every nonzero cell of the
     R-truncated page in degrees <= D, degree by degree."""
     Rn = _norm_R(R)
-    _, sizes, ranks = _grid(d, D)
+    grid = _grid(d, D)
     K = max(1, D - d)
     kmax = K if Rn is None else min(Rn, K)
+    cols = [_column(grid, k) for k in range(kmax + 1)]
     for n in range(D + 1):
-        # column k >= 1 starts at its Thom degree d + k
+        # column k >= 1 starts at its Thom degree d + k, so no read of
+        # column k, or of column k - 1 a degree lower, falls below degree 0
         for k in range(min(kmax, max(n - d, 0)) + 1):
-            size = sizes.get((k, n), 0)
+            size_at, rank_at, shift = cols[k]
+            size = size_at[n - shift]
             if size == 0:
                 continue
-            out_rank = 0 if (Rn is not None and k == Rn) else ranks.get((k, n), 0)
-            im_in = ranks.get((k - 1, n - 1), 0)
+            out_rank = 0 if k == Rn else rank_at[n - shift]
+            if k:
+                _, rank_at, shift = cols[k - 1]
+                im_in = rank_at[n - 1 - shift]
+            else:
+                im_in = 0
             ker = size - out_rank
             e2 = ker - im_in
             if e2 < 0:
@@ -476,7 +517,7 @@ def verify_generators(d, D, *, maps=None):
     assemble_columns(d, D).
     """
     maps = _reader(d, D, maps)
-    _, sizes, ranks = _grid(d, D)
+    _, sizes, ranks, _ = _grid(d, D)
     classes = generator_classes(d, D)
     by_deg = defaultdict(list)
     for cl in classes:
@@ -488,7 +529,7 @@ def verify_generators(d, D, *, maps=None):
         # d0 is zero for odd d (column 0 has no Euler piece), so its
         # image rows are empty there; the grid already holds their rank
         image_rows = [col for col in maps(0, n - 1).cols if col]
-        im = ranks.get((0, n - 1), 0)
+        im = ranks[0][n - 1]
         fold = maps(1, n)
         vecs = {"sigma": [], "rest": []}
         for cl in by_deg.get(n, []):
@@ -499,7 +540,7 @@ def verify_generators(d, D, *, maps=None):
         if vecs["sigma"] and rank(image_rows + vecs["sigma"]) != im:
             sigma_ok = False
         got = rank(image_rows + vecs["rest"]) - im
-        e2 = sizes.get((1, n), 0) - ranks.get((1, n), 0) - im
+        e2 = sizes[1][n] - ranks[1][n] - im
         if got != e2 and span_bad is None:
             span_bad = (n, got, e2)
     entries = [("generators: all classes lie in ker d1", bad_kernel == 0,
@@ -538,7 +579,7 @@ def collapse_check(d, D, *, maps=None):
     maps defaults to assemble_columns(d, D).
     """
     maps = _reader(d, D, maps)
-    _, sizes, ranks = _grid(d, D)
+    _, sizes, ranks, _ = _grid(d, D)
     # column 2 reads its images from the assembled column 1, so a
     # miscounted column 1 fails only its own entry
     fold = [maps(1, n).rank() for n in range(D + 1)]
@@ -547,9 +588,9 @@ def collapse_check(d, D, *, maps=None):
     for k in range(2, min(5, max(1, D - d)) + 1):
         bad = ""
         for n in range(D + 1):
-            rk, got = ranks.get((k, n), 0), maps(k, n).rank()
-            ker = sizes.get((k, n), 0) - rk
-            im = fold[n - 1] if k == 2 and n else ranks.get((k - 1, n - 1), 0)
+            rk, got = ranks[k][n], maps(k, n).rank()
+            ker = sizes[k][n] - rk
+            im = 0 if n == 0 else fold[n - 1] if k == 2 else ranks[k - 1][n - 1]
             if rk != got:
                 bad = miscount % (n, rk, got)
             elif ker != im:
@@ -557,7 +598,7 @@ def collapse_check(d, D, *, maps=None):
             if bad:
                 break
         entries.append(("collapse column %d exact" % k, not bad, bad))
-    bad = next((miscount % (n, ranks.get((1, n), 0), got) for n, got in enumerate(fold)
-                if ranks.get((1, n), 0) != got), "")
+    bad = next((miscount % (n, ranks[1][n], got) for n, got in enumerate(fold)
+                if ranks[1][n] != got), "")
     entries.append(("column 1 counted rank exact", not bad, bad))
     return CheckReport("collapse check d=%d, D=%d" % (d, D), entries)

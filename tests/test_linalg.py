@@ -160,21 +160,18 @@ def test_rank_matches_gauss_jordan_on_the_8_40_grid():
 @pytest.mark.parametrize("d", range(1, 17))
 def test_counted_grid_matches_per_cell_assembly(d):
     # column 0 is counted from its Euler elements and the other columns
-    # by block type; every cell's size and rank must equal those of the
-    # assembled matrix
+    # by block type; every cell's size and rank, columns >= 6 read
+    # through the period-4 rule, must equal those of the assembled matrix
     D = 40
     pages.clear_cache()
-    _, sizes, ranks = pages._grid(d, D)
+    grid = pages._grid(d, D)
     pages.clear_cache()
-    want_sizes, want_ranks = {}, {}
     for k in range(max(1, D - d) + 1):
+        sizes, ranks, shift = pages._column(grid, k)
         for n in range(D + 1):
             A = assemble_matrix(d, k, n)
-            if A.source.elements:
-                want_sizes[(k, n)] = len(A.source.elements)
-                want_ranks[(k, n)] = A.rank()
-    assert sizes == want_sizes
-    assert ranks == want_ranks
+            got = (sizes[n - shift], ranks[n - shift]) if n >= shift else (0, 0)
+            assert got == (len(A.source.elements), A.rank()), (k, n)
 
 
 @pytest.mark.parametrize("d, D", [(12, 70), (14, 60)])
@@ -182,24 +179,24 @@ def test_counted_column_0_matches_assembly_at_larger_sizes(d, D):
     # the d0 cells are the largest the grid used to assemble; the Euler
     # count must equal their rank well beyond D = 40
     pages.clear_cache()
-    _, sizes, ranks = pages._grid(d, D)
+    _, sizes, ranks, _ = pages._grid(d, D)
     pages.clear_cache()
     for n in range(D + 1):
         A = assemble_matrix(d, 0, n)
-        assert sizes.get((0, n), 0) == len(A.source.elements), n
-        assert ranks.get((0, n), 0) == A.rank(), n
+        assert sizes[0][n] == len(A.source.elements), n
+        assert ranks[0][n] == A.rank(), n
 
 
 @pytest.mark.parametrize("d, D", [(12, 70), (14, 60)])
 def test_counted_columns_1_to_5_match_assembly_at_larger_sizes(d, D):
     # the fold cells are the largest the grid assembled before it
-    # counted them, and columns 2..5 are the ones every later column
-    # copies; the block-type count must equal their rank well beyond D = 40
+    # counted them, and columns 2..5 are the ones every later column is
+    # read from; the block-type count must equal their rank well beyond D = 40
     pages.clear_cache()
-    _, sizes, ranks = pages._grid(d, D)
+    _, sizes, ranks, _ = pages._grid(d, D)
     pages.clear_cache()
     for k in range(1, 6):
         for n in range(D + 1):
             A = assemble_matrix(d, k, n)
-            assert sizes.get((k, n), 0) == len(A.source.elements), (k, n)
-            assert ranks.get((k, n), 0) == A.rank(), (k, n)
+            assert sizes[k][n] == len(A.source.elements), (k, n)
+            assert ranks[k][n] == A.rank(), (k, n)

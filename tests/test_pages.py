@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,9 @@ from artifact.cli import main
 from artifact.differentials import (
     _piece_for, LinearMap, d0, element_terms, restriction_expansion,
 )
-from artifact.e1 import BasisElement, column_series
+from artifact.e1 import BasisElement, build_basis, column_series
 from artifact.grading import (
-    Series, VariableSet, FlavoredSpace, SKEW, space_series, orbit_reps, s_hom,
+    Series, VariableSet, FlavoredSpace, FULL, SYM, SKEW, space_series, orbit_reps, s_hom,
     enumerate_monomials, mono_mul, mono_swap,
 )
 from artifact.loopspace import loopspace_series
@@ -160,8 +161,8 @@ def test_collapse_check_catches_a_wrong_count(monkeypatch):
     # assembles the cells it checks, so a count off by one fails there
     real = pages._counted_ranks
 
-    def off_by_one(d, columns, D):
-        ranks = real(d, columns, D)
+    def off_by_one(blocks, columns, D):
+        ranks = real(blocks, columns, D)
         ranks[3].c[15] += 1
         return ranks
 
@@ -169,17 +170,18 @@ def test_collapse_check_catches_a_wrong_count(monkeypatch):
     pages.clear_cache()
     try:
         rep = collapse_check(4, 20)
-        _, _, ranks = pages._grid(4, 20)
+        grid = pages._grid(4, 20)
     finally:
         pages.clear_cache()
     assert not rep.ok
     assert rep.entries[0] == ("collapse column 2 exact", True, "")
     assert rep.entries[1] == ("collapse column 3 exact", False,
                               "degree 15: counted rank 3, assembled rank 2")
-    # column 7 is column 3 moved up four degrees, so the miscount reaches
-    # the ranks e2_ranks reads there; e2_ranks itself stops earlier, at
-    # the negative cell (3, 15)
-    assert ranks[(7, 19)] == ranks[(3, 15)] == 3
+    # column 7 is read as column 3 four degrees lower, so the miscount
+    # reaches the ranks e2_ranks reads there; e2_ranks itself stops
+    # earlier, at the negative cell (3, 15)
+    _, ranks, shift = pages._column(grid, 7)
+    assert shift == 4 and ranks[19 - shift] == grid[2][3][15] == 3
 
 
 def test_collapse_check_catches_a_wrong_fold_count(monkeypatch):
@@ -188,8 +190,8 @@ def test_collapse_check_catches_a_wrong_fold_count(monkeypatch):
     # by one fails only the fold entry, naming the degree
     real = pages._counted_ranks
 
-    def off_by_one(d, columns, D):
-        ranks = real(d, columns, D)
+    def off_by_one(blocks, columns, D):
+        ranks = real(blocks, columns, D)
         ranks[1].c[13] += 1
         return ranks
 
@@ -381,8 +383,8 @@ def test_negative_e2_raises_under_O():
     code = (
         "from artifact import pages, loopspace\n"
         "real = pages._counted_ranks\n"
-        "def over(d, columns, D):\n"
-        "    ranks = real(d, columns, D)\n"
+        "def over(blocks, columns, D):\n"
+        "    ranks = real(blocks, columns, D)\n"
         "    ranks[1].c[9] += 2\n"
         "    return ranks\n"
         "pages._counted_ranks = over\n"
@@ -451,24 +453,41 @@ def test_grown_grid_matches_cold_grid(d, degrees, R):
 
 @pytest.mark.parametrize("d", range(1, 17))
 def test_columns_repeat_with_period_4(d):
-    # the grid counts columns 2..5 and moves them up four degrees; a rule
-    # that read a level beyond its residue mod 4 would fail here
+    # the grid counts columns 2..5 and reads every later column from them
+    # four degrees lower per step; a rule that read a level beyond its
+    # residue mod 4 would fail here
     D = 60
     for k in range(6, 14):
         assert column_series(d, k, D) == column_series(d, k - 4, D).tshift(4), k
-        counted = pages._counted_ranks(d, [k - 4, k], D)
+        counted = pages._counted_ranks(pages._block_ranks(d, [k - 4, k]), [k - 4, k], D)
         assert counted[k] == counted[k - 4].tshift(4), k
+
+
+def _grid_cells(d, D):
+    # the grid's nonzero cells of columns 0..K as {(k, n): size} and
+    # {(k, n): rank}, every column k >= 6 read through pages._column
+    grid = pages._grid(d, D)
+    sizes, ranks = {}, {}
+    for k in range(max(1, D - d) + 1):
+        size_at, rank_at, shift = pages._column(grid, k)
+        for n in range(shift, D + 1):
+            if size_at[n - shift]:
+                sizes[(k, n)] = size_at[n - shift]
+                ranks[(k, n)] = rank_at[n - shift]
+    return sizes, ranks
 
 
 def _per_column_grid(d, D):
     # the grid counted column by column, with no shift: column 0 by its
-    # Euler elements, every k >= 1 by _counted_ranks
+    # Euler elements, every k >= 1 by its own block ranks
     [s] = enumerate_strata(d, 0)
     piece = _piece_for(s, True)
     euler = space_series(piece.space(s), D).tshift(piece.offset(s)) \
         if piece else Series.zero(D)
     K = max(1, D - d)
-    counted = {0: euler, **pages._counted_ranks(d, range(1, K + 1), D)}
+    columns = range(1, K + 1)
+    counted = {0: euler,
+               **pages._counted_ranks(pages._block_ranks(d, columns), columns, D)}
     sizes, ranks = {}, {}
     for k in range(K + 1):
         for n, (size, rk) in enumerate(zip(column_series(d, k, D).c, counted[k].c)):
@@ -481,45 +500,53 @@ def _per_column_grid(d, D):
 @pytest.mark.parametrize("d, D", [(d, 60) for d in range(1, 17)] + [(12, 100)])
 def test_shifted_grid_matches_per_column_count(d, D):
     pages.clear_cache()
-    _, sizes, ranks = pages._grid(d, D)
+    cells = _grid_cells(d, D)
     pages.clear_cache()
-    assert (sizes, ranks) == _per_column_grid(d, D)
+    assert cells == _per_column_grid(d, D)
 
 
 def test_grid_grown_to_100_matches_cold_grid():
-    # every growth fills only the new degrees of the shifted columns
+    # every growth sums the kept block ranks up to the new D, and the
+    # grid keeps columns 0..5 alone
     pages.clear_cache()
     for D in range(40, 101, 10):
         grown = pages._grid(6, D)
     pages.clear_cache()
     assert pages._grid(6, 100) == grown
+    assert len(grown[1]) == len(grown[2]) == 6
     pages.clear_cache()
 
 
 def test_the_grid_assembles_one_new_fold_cell_per_growth(monkeypatch):
     # every rank is counted: a build or growth assembles only its lowest
-    # new fold cell, as a guard, and applies d_fold to the representative
-    # blocks and that cell alone, so a larger D adds no d_fold calls
-    calls, folds = [], []
+    # new fold cell, as a guard; a build applies d_fold to the
+    # representative blocks and that cell alone, so a larger D adds no
+    # d_fold calls, and a growth keeps the block ranks, so it applies
+    # d_fold only inside its guard cell and ranks no block
+    calls, folds, blocks = [], [], []
     real, real_fold = pages.assemble_matrix, differentials.d_fold
+    real_block = pages.differential
     monkeypatch.setattr(pages, "assemble_matrix",
                         lambda d, k, n: calls.append((k, n)) or real(d, k, n))
     monkeypatch.setattr(differentials, "d_fold",
                         lambda d, el: folds.append(el) or real_fold(d, el))
+    monkeypatch.setattr(pages, "differential",
+                        lambda d, el: blocks.append(el) or real_block(d, el))
 
     def grid(*degrees, cold=True):
         if cold:
             pages.clear_cache()
-        del calls[:], folds[:]
+        del calls[:], folds[:], blocks[:]
         for D in degrees:
             e2_ranks(4, "inf", D)
-        return list(calls), len(folds)
+        return list(calls), len(folds), len(blocks)
 
     small, large = grid(20), grid(30)
-    assert small[0] == large[0] == [(1, 5)] and small[1] == large[1] > 0
+    assert small[0] == large[0] == [(1, 5)] and small[1:] == large[1:]
+    assert small[1] > len(build_basis(4, 1, 5)) and small[2] > 0
     grid(20)
-    assert grid(30, cold=False)[0] == [(1, 21)]
-    assert grid(25, 30, 12, cold=False) == ([], 0)
+    assert grid(30, cold=False) == ([(1, 21)], len(build_basis(4, 1, 21)), 0)
+    assert grid(25, 30, 12, cold=False) == ([], 0, 0)
 
 
 def test_a_check_called_alone_assembles_only_the_cells_it_reads(monkeypatch):
@@ -545,11 +572,50 @@ def _tables():
     from artifact import grading, strata
     return {"grid": len(pages._GRID), "images": len(grading._IMAGES),
             "shared": len(grading._SHARED),
+            "series": grading.space_series.cache_info().currsize,
             "bases": len(differentials._BASES),
             "mono_key": grading.mono_key.cache_info().currsize,
             "mono_str": grading.mono_str.cache_info().currsize,
             "column_content": strata.column_content.cache_info().currsize,
             "variables": strata._variables.cache_info().currsize}
+
+
+def test_one_term_images_share_no_monomial():
+    # the certificate's images into P(0, d + 1) multiply by one-term
+    # factors only, which map distinct monomials to distinct ones, so
+    # they leave nothing in the sharing table
+    from artifact import grading
+    pages.clear_cache()
+    pages._grid(6, 100)
+    assert grading._IMAGES and not grading._SHARED
+    pages.clear_cache()
+
+
+def test_kept_series_are_shared_not_mutated(capsys):
+    # the verbs read the kept space series and mutate none of them: after
+    # they run, every kept (space, D) entry equals a fresh expansion
+    pages.clear_cache()
+    for argv in (["series", "--space", "sp:3,3", "--max-degree", "40"],
+                 ["e2", "--dim", "6", "--r", "2", "--max-degree", "40"],
+                 ["loopspace", "--dim", "5", "--max-degree", "30"],
+                 ["verify", "--dim", "5", "--max-degree", "30"]):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    kept, found = space_series.cache_info().currsize, 0
+    # every space these runs read: P(a, b) with a, b <= 2 (d + 1), and the
+    # swap eigenspaces of the square ones; a probe is kept iff it hits
+    for a, b, flavor in product(range(15), range(15), (FULL, SYM, SKEW)):
+        if flavor != FULL and a // 2 != b // 2:
+            continue
+        space = FlavoredSpace(VariableSet(a, b), flavor)
+        for D in (12, 30, 40):
+            hits = space_series.cache_info().hits
+            ser = space_series(space, D)
+            if space_series.cache_info().hits > hits:
+                found += 1
+                assert ser == space_series.__wrapped__(space, D), (space, D)
+    assert found == kept > 0
+    pages.clear_cache()
 
 
 def _certify(d, D):
@@ -712,16 +778,18 @@ def test_dimension_and_level_are_rejected_under_O():
 
 @pytest.mark.parametrize("d", range(1, 17))
 def test_grid_has_no_cell_below_the_thom_degree(d):
-    # e2_ranks reads column k >= 1 only from degree d + k on
-    _, sizes, ranks = pages._grid(d, 70)
-    assert not [key for key in sizes if key[0] >= 1 and key[1] < d + key[0]]
-    assert not [key for key in ranks if key[0] >= 1 and key[1] < d + key[0]]
+    # e2_ranks reads column k >= 1 only from degree d + k on, and the
+    # grid holds columns 0..5 alone
+    _, sizes, ranks, _ = pages._grid(d, 70)
+    assert len(sizes) == len(ranks) == 6
+    assert not [(k, n) for k in range(1, 6) for n in range(min(d + k, 71))
+                if sizes[k][n] or ranks[k][n]]
 
 
 def _rectangle_cells(d, R, D):
     # every (k, n) of the full rectangle k <= kmax, n <= D, in e2_ranks' order
     Rn = pages._norm_R(R)
-    _, sizes, ranks = pages._grid(d, D)
+    sizes, ranks = _grid_cells(d, D)
     K = max(1, D - d)
     kmax = K if Rn is None else min(Rn, K)
     cells = []
