@@ -157,13 +157,38 @@ def _int_at_least(low):
     return parse
 
 
-def build_parser():
+# verb -> (help, handler, whether it takes --dim and --r, its own arguments)
+_VERBS = {
+    "series": ("rank series of one graded space", _cmd_series, (False, False),
+               [("--space", dict(required=True, help="p:a,b | sp:a,b | ap:a,b | b:d"))]),
+    "e1": ("first-page rank series of one column", _cmd_e1, (True, False),
+           [("--column", dict(type=_int_at_least(0), required=True))]),
+    "e2": ("second-page ranks and total series", _cmd_e2, (True, True), []),
+    "generators": ("explicit fold-column generators", _cmd_generators, (True, False), []),
+    "oracle": ("sign-action oracle against content tables", _cmd_oracle, (True, False),
+               [("--level", dict(type=_int_at_least(1), required=True))]),
+    "verify": ("full verification battery for one (dim, r)", _cmd_verify, (True, True), []),
+    "loopspace": ("loop-space class algebra series", _cmd_loopspace, (True, True),
+                  [("--offset", dict(type=int, default=0,
+                                     help="shift every generator degree by this amount"))]),
+}
+
+
+def build_parser(verb=None):
+    """The argument parser: with one verb's subparser when verb is given,
+    with all of them otherwise.  Either way the usage lists every verb."""
     ap = argparse.ArgumentParser(
         prog="artifact",
         description="Exact rank computations for the Morin singularity spectral sequence.")
-    sub = ap.add_subparsers(dest="verb", required=True)
-
-    def common(p, dim=True, r=False):
+    # a one-verb parser names every verb in its usage itself; the full one
+    # leaves that to argparse, whose missing-verb error names "verb"
+    sub = ap.add_subparsers(dest="verb", required=True,
+                            metavar="{%s}" % ",".join(_VERBS) if verb else None)
+    for name in [verb] if verb else _VERBS:
+        text, fn, (dim, r), own = _VERBS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, kw in own:
+            p.add_argument(flag, **kw)
         if dim:
             p.add_argument("--dim", type=_int_at_least(1), required=True,
                            help="dimension difference d")
@@ -173,40 +198,7 @@ def build_parser():
         p.add_argument("--max-degree", type=_int_at_least(0), default=40, dest="max_degree")
         p.add_argument("--format", choices=["table", "json", "csv"], default="table")
         p.add_argument("--out", default=None, help="write output to this file")
-
-    p = sub.add_parser("series", help="rank series of one graded space")
-    p.add_argument("--space", required=True,
-                   help="p:a,b | sp:a,b | ap:a,b | b:d")
-    common(p, dim=False)
-    p.set_defaults(fn=_cmd_series)
-
-    p = sub.add_parser("e1", help="first-page rank series of one column")
-    p.add_argument("--column", type=_int_at_least(0), required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_e1)
-
-    p = sub.add_parser("e2", help="second-page ranks and total series")
-    common(p, r=True)
-    p.set_defaults(fn=_cmd_e2)
-
-    p = sub.add_parser("generators", help="explicit fold-column generators")
-    common(p)
-    p.set_defaults(fn=_cmd_generators)
-
-    p = sub.add_parser("oracle", help="sign-action oracle against content tables")
-    p.add_argument("--level", type=_int_at_least(1), required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_oracle)
-
-    p = sub.add_parser("verify", help="full verification battery for one (dim, r)")
-    common(p, r=True)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("loopspace", help="loop-space class algebra series")
-    p.add_argument("--offset", type=int, default=0,
-                   help="shift every generator degree by this amount")
-    common(p, r=True)
-    p.set_defaults(fn=_cmd_loopspace)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -233,7 +225,8 @@ def _render(args, res):
 
 
 def main(argv=None):
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ap = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     args = ap.parse_args(argv)
     try:
         res = args.fn(args)

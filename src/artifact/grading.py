@@ -26,16 +26,19 @@ symmetric and skew flavors is stated once, in is_orbit_rep.
 
 The kernels the generator labels and certificates lean on (s_hom,
 enumerate_monomials, mono_str and poly_str) work on exponent tuples and
-plain dicts.  Each piece of their work is done once per process: s_hom
-keeps every Whitney image per target and builds a new one from the kept
-image of m / p_i, the images hold one shared copy of each monomial and
-exponent tuple that a factor of more than one term makes, mono_key and
-mono_str keep their value per monomial and space_series per (space, D),
-until pages.clear_cache() empties the tables.  A kept image or series is
-handed to every caller as it is, never copied, so callers read it and
-never mutate it.  Bad arguments raise ValueError and the exactness guards
-in space_series and free_gca_series raise ArithmeticError, so every
-check holds under python -O.
+plain dicts.  Each piece of their work is done once per process: into a
+target with no unprimed or no primed variables every p_i has one term,
+so s_hom reads the image of m off its exponents and keeps nothing;
+into any other target it keeps every Whitney image and builds a new one
+from the kept image of m / p_i, the images hold one shared copy of each
+monomial and exponent tuple that a factor of more than one term makes,
+enumerate_monomials keeps its exponent tuples per (weights, degree),
+mono_key and mono_str keep their value per monomial and space_series
+per (space, D), until pages.clear_cache() empties the tables.  A kept
+image, tuple list or series is handed to every caller as it is, never
+copied, so callers read it and never mutate it.  Bad arguments raise
+ValueError and the exactness guards in space_series and free_gca_series
+raise ArithmeticError, so every check holds under python -O.
 """
 
 from collections import namedtuple
@@ -102,10 +105,12 @@ def mono_key(m):
     return (mono_degree(m), fs, es)
 
 
+@cache
 def _exponent_tuples(weights, total):
     # all exponent tuples e >= 0 with sum(w_i * e_i) == total >= 0, in
     # lexicographic order: extend the partial tuples weight by weight,
-    # each paired with the weight it leaves, then fix the last exponent
+    # each paired with the weight it leaves, then fix the last exponent.
+    # Kept per (weights, total), which P(d, 0) and P(0, d + 1) share
     if not weights:
         return [()] if total == 0 else []
     partial = [((), total)]
@@ -122,7 +127,7 @@ def enumerate_monomials(vs, degree):
         return []
     # within one degree mono_key compares (fs, es), the lexicographic
     # order in which _exponent_tuples yields the primed weights first
-    weights = [4 * (j + 1) for j in range(vs.nb)] + [4 * (i + 1) for i in range(vs.na)]
+    weights = tuple(range(4, 4 * vs.nb + 1, 4)) + tuple(range(4, 4 * vs.na + 1, 4))
     nb = vs.nb
     return [(t[nb:], t[:nb]) for t in _exponent_tuples(weights, degree)]
 
@@ -203,18 +208,27 @@ def s_hom(m, target):
 
     The source monomial lives in Q[p_1 .. p_n] (a VariableSet with no
     primed part).  Each p_i goes to sum_{j=0}^{i} p_j p'_{i-j} with
-    p_0 = p'_0 = 1 and any out-of-range factor set to 0.  Images are
-    kept per target until pages.clear_cache(): the image of m is the
-    kept image of m / p_i times the image of p_i, for the first p_i that
-    divides m, built bottom up in a loop, so no exponent is too deep.
+    p_0 = p'_0 = 1 and any out-of-range factor set to 0.  When the
+    target has no unprimed or no primed variables that sum is the one
+    term p_i or p'_i, or 0, so the image of m is one monomial or {},
+    read off m's exponents and not kept.  Into other targets images are
+    kept until pages.clear_cache(): the image of m is the kept image of
+    m / p_i times the image of p_i, for the first p_i that divides m,
+    built bottom up in a loop, so no exponent is too deep.
     Equal monomials and exponent tuples that a many-term factor makes
     are one object.
-    The returned dict is the kept one, shared by every caller: read it,
-    never mutate it.
+    A kept dict is shared by every caller: read it, never mutate it.
     """
     es, fs = m
     if any(fs):
         raise ValueError("s_hom sources carry no primed variables")
+    if not (target.na and target.nb):
+        # each p_i goes to the one term p_i or p'_i, or to 0 past the range
+        n = target.na or target.nb
+        if any(es[n:]):
+            return {}
+        e = es[:n] + (0,) * (n - len(es))
+        return {(e, ()) if target.na else ((), e): 1}
     table = _IMAGES.setdefault(target, {})
     chain = []  # (exponents, index i of the p_i that divides them), top down
     while es not in table and any(es):

@@ -12,11 +12,12 @@ compared coefficient by coefficient against the closed-form series
 encoded per residue of d.
 
 The grid counts every rank.  Column 0's is its Euler count, certified by
-d0's rows on the fold stratum (0, d + 1).  Out of a column k >= 1 the
-map is a sum of tiny blocks, one per swap orbit {m, swap m} of
-P(d + 1, d + 1), and _block_ranks ranks one block per type: the
-extents (i, j) of m, with 2(i + j) <= d + 1 (a stratum (a, b) holds
-p_i p'_j only if 2i <= a and 2j <= b), and whether swap m = m.  No
+d0's rows on the fold stratum (0, d + 1), where s_hom sends p_i to p'_i
+and keeps no image.  Out of a column k >= 1 the map is a sum of tiny
+blocks, one per swap orbit {m, swap m} of P(d + 1, d + 1), and
+_block_ranks ranks one block per type: the extents (i, j) of m, with
+2(i + j) <= d + 1 (a stratum (a, b) holds p_i p'_j only if 2i <= a and
+2j <= b), and whether swap m = m.  No
 block rank depends on D, so the grid ranks them once per d, keeps those
 of nonzero rank, and _counted_ranks sums them against the orbit counts
 up to D.  The rules read a level >= 2 only mod 4 and column k's Thom
@@ -43,10 +44,10 @@ degree, that they exhaust the computed second page, building each
 class's fold-column expansion in its degree's step and dropping it after.
 
 clear_cache() empties the grid and every table the modules below keep
-for reuse (Whitney images and the monomials they share, monomial keys
-and labels, space series, stratum content and variable sets, shared
-bases); the tables change no result, only how often the same work is
-done.
+for reuse (Whitney images and the monomials they share, exponent tuples,
+monomial keys and labels, space series, stratum content and variable
+sets, shared bases); the tables change no result, only how often the
+same work is done.
 """
 
 from collections import defaultdict, namedtuple
@@ -56,7 +57,7 @@ from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
     mono_mul, is_orbit_rep, restrict_terms, poly_str, mono_key, mono_str,
-    _IMAGES, _SHARED,
+    _IMAGES, _SHARED, _exponent_tuples,
 )
 from .strata import Stratum, enumerate_strata, column_content, _variables
 from .e1 import BasisElement, IndexedBasis, column_series
@@ -86,13 +87,15 @@ _GRID = {}
 
 def clear_cache():
     """Empty the rank grid and every table the modules below it keep: the
-    Whitney images and the monomials they share, the monomial keys and
-    labels, the space series, the stratum content and variable sets, and
-    the bases that assembled matrices share."""
+    Whitney images and the monomials they share, the exponent tuples of
+    each (weights, degree), the monomial keys and labels, the space
+    series, the stratum content and variable sets, and the bases that
+    assembled matrices share."""
     _GRID.clear()
     for table in (_IMAGES, _SHARED, _BASES):
         table.clear()
-    for table in (mono_key, mono_str, space_series, column_content, _variables):
+    for table in (_exponent_tuples, mono_key, mono_str, space_series,
+                  column_content, _variables):
         table.cache_clear()
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -315,6 +316,26 @@ def test_bad_r_is_usage_error(capsys):
             build_parser().parse_args(["e2", "--dim", "4", "--r", r])
         assert exc.value.code == 2
         assert "r must be a positive integer or inf" in capsys.readouterr().err
+
+
+def _subparsers(ap):
+    return next(a for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_a_one_verb_parser_prints_what_the_full_parser_prints():
+    # main builds only the asked verb's subparser; its help and usage, and
+    # the top-level usage an unrecognized argument prints, stay the same
+    full = build_parser()
+    verbs = _subparsers(full)
+    assert list(verbs) == ["series", "e1", "e2", "generators", "oracle",
+                           "verify", "loopspace"]
+    for verb, p in verbs.items():
+        one = build_parser(verb)
+        assert list(_subparsers(one)) == [verb]
+        assert one.format_usage() == full.format_usage()
+        q = _subparsers(one)[verb]
+        assert (q.format_help(), q.format_usage()) == (p.format_help(), p.format_usage())
 
 
 @pytest.mark.parametrize("argv", [

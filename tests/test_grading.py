@@ -292,6 +292,29 @@ class TestSplittingHom:
                 want = _times(want, w)
         assert s_hom(m, tgt) == want
 
+    @given(st.one_of(st.builds(VariableSet, st.integers(0, 7), st.just(0)),
+                     st.builds(VariableSet, st.just(0), st.integers(0, 7))),
+           st.lists(st.integers(0, 3), max_size=6))
+    @settings(max_examples=80)
+    @example(VariableSet(0, 0), [])  # the unit's image is the unit
+    @example(VariableSet(0, 4), [1, 0, 2])  # p_3 lies past the range: 0
+    @example(VariableSet(5, 0), [0, 2])
+    def test_one_term_targets_match_the_product_rule(self, tgt, es):
+        # with no unprimed or no primed variables every p_i has a one-term
+        # image, read off directly; the reference multiplies those factor
+        # images out, so a p_i past the range makes the whole image 0
+        from artifact import grading
+        m = (tuple(es), ())
+        want = {mono_one(tgt): 1}
+        for i, e in enumerate(es, 1):
+            w = {} if i > tgt.na + tgt.nb else {
+                (tuple(int(t == i - 1) for t in range(tgt.na)),
+                 tuple(int(t == i - 1) for t in range(tgt.nb))): 1}
+            for _ in range(e):
+                want = _times(want, w)
+        assert s_hom(m, tgt) == s_hom(m, tgt) == want
+        assert tgt not in grading._IMAGES
+
     def test_multiplicative(self):
         tgt = VariableSet(4, 4)
         f = s_hom(((1, 0), ()), tgt)

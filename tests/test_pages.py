@@ -572,6 +572,7 @@ def _tables():
     from artifact import grading, strata
     return {"grid": len(pages._GRID), "images": len(grading._IMAGES),
             "shared": len(grading._SHARED),
+            "exponents": grading._exponent_tuples.cache_info().currsize,
             "series": grading.space_series.cache_info().currsize,
             "bases": len(differentials._BASES),
             "mono_key": grading.mono_key.cache_info().currsize,
@@ -581,14 +582,32 @@ def _tables():
 
 
 def test_one_term_images_share_no_monomial():
-    # the certificate's images into P(0, d + 1) multiply by one-term
-    # factors only, which map distinct monomials to distinct ones, so
-    # they leave nothing in the sharing table
+    # every p_i has a one-term image in the certificate's target
+    # P(0, d + 1), so s_hom reads each image off the exponents and keeps
+    # nothing: neither an image table nor a shared monomial
     from artifact import grading
     pages.clear_cache()
     pages._grid(6, 100)
-    assert grading._IMAGES and not grading._SHARED
+    assert not grading._IMAGES and not grading._SHARED
     pages.clear_cache()
+
+
+def test_the_certificate_ranks_each_euler_degree(monkeypatch):
+    # a cold grid ranks d0's sub-block into the fold stratum (0, d + 1) as
+    # one LinearMap per degree, so a miscounted rank in any degree that
+    # holds an Euler class of column 0 (4, 8, 12, 16 at d = 4) is caught
+    ranked, real = [], differentials.LinearMap.rank
+
+    def rank(lm):
+        if lm.source.column == 0:
+            ranked.append(lm.source.degree)
+        return real(lm)
+
+    monkeypatch.setattr(differentials.LinearMap, "rank", rank)
+    pages.clear_cache()
+    e2_ranks(4, "inf", 16)
+    pages.clear_cache()
+    assert {4, 8, 12, 16} <= set(ranked)
 
 
 def test_kept_series_are_shared_not_mutated(capsys):
