@@ -66,10 +66,11 @@ class IndexedBasis:
         return iter(self.elements)
 
     def position(self, el):
-        if el not in self.index:
+        i = self.index.get(el)
+        if i is None:
             raise ArithmeticError("%r is not in the basis of column %d degree %d"
                                   % (el, self.column, self.degree))
-        return self.index[el]
+        return i
 
     def __repr__(self):
         return "IndexedBasis(d=%d, k=%d, n=%d, size=%d)" % (

@@ -26,17 +26,15 @@ symmetric and skew flavors is stated once, in is_orbit_rep.
 
 The kernels the generator labels and certificates lean on (s_hom,
 enumerate_monomials, mono_str and poly_str) work on exponent tuples and
-plain dicts.  Each piece of their work is done once per process: into a
-target with no unprimed or no primed variables every p_i has one term,
-so s_hom reads the image of m off its exponents and keeps nothing;
-into any other target it keeps every Whitney image and builds a new one
-from the kept image of m / p_i, the images hold one shared copy of each
-monomial and exponent tuple that a factor of more than one term makes,
-enumerate_monomials keeps its exponent tuples per (weights, degree),
-mono_key and mono_str keep their value per monomial and space_series
-per (space, D), until pages.clear_cache() empties the tables.  A kept
-image, tuple list or series is handed to every caller as it is, never
-copied, so callers read it and never mutate it.  Bad arguments raise
+plain dicts, and keep their work until pages.clear_cache(): s_hom every
+Whitney image into a target with both kinds of variable (into any other
+its image is one monomial, read off the exponents), with one copy of each
+monomial and exponent tuple and per position a bump map from a tuple to
+its raised copy; enumerate_monomials its tuples per (weights, degree);
+mono_str and poly_str the degree and text per exponent tuple; and
+space_series each series per (space, D).  A kept image, tuple list or
+series is handed to every caller as it is, never copied, so callers
+read it and never mutate it.  Bad arguments raise
 ValueError and the exactness guards in space_series and free_gca_series
 raise ArithmeticError, so every check holds under python -O.
 """
@@ -94,12 +92,11 @@ def mono_swap(m):
     return (fs, es)
 
 
-@cache
 def mono_key(m):
     """Graded order, then comparison of (primed, unprimed) exponent tuples.
 
     Puts p_1 before p'_1, and orders the degree 8 block of P(2, 2) as
-    p_1^2, p_1 p'_1, p'_1^2.  Kept per monomial, as mono_str is.
+    p_1^2, p_1 p'_1, p'_1^2.
     """
     es, fs = m
     return (mono_degree(m), fs, es)
@@ -110,13 +107,18 @@ def _exponent_tuples(weights, total):
     # all exponent tuples e >= 0 with sum(w_i * e_i) == total >= 0, in
     # lexicographic order: extend the partial tuples weight by weight,
     # each paired with the weight it leaves, then fix the last exponent.
-    # Kept per (weights, total), which P(d, 0) and P(0, d + 1) share
+    # A partial is made only if the weights after it sum to what it leaves
+    # (so their gcd divides it); fits[n] holds the sums <= total of
+    # weights[n + 1:].  Kept per (weights, total), shared by P(d, 0) and P(0, d + 1)
     if not weights:
         return [()] if total == 0 else []
+    fits = [{0}]
+    for w in weights[:0:-1]:
+        fits.insert(0, {x + w * e for x in fits[0] for e in range((total - x) // w + 1)})
     partial = [((), total)]
-    for w in weights[:-1]:
-        partial = [(head + (e,), left - w * e)
-                   for head, left in partial for e in range(left // w + 1)]
+    for w, fit in zip(weights[:-1], fits):
+        partial = [(head + (e,), left - w * e) for head, left in partial
+                   for e in range(left // w + 1) if left - w * e in fit]
     w = weights[-1]
     return [head + (left // w,) for head, left in partial if left % w == 0]
 
@@ -132,28 +134,33 @@ def enumerate_monomials(vs, degree):
     return [(t[nb:], t[:nb]) for t in _exponent_tuples(weights, degree)]
 
 
-@cache
+def _tuple_text(t):
+    # an exponent tuple's weighted degree and its text as unprimed and as
+    # primed variables, each variable led by a space: " p_1^2 p_3"
+    parts = ["_%d" % i if e == 1 else "_%d^%d" % (i, e) for i, e in enumerate(t, 1) if e]
+    return (4 * sum(map(mul, t, count(1))), "".join(" p" + v for v in parts),
+            "".join(" p'" + v for v in parts))
+
+
 def mono_str(m):
-    es, fs = m
-    parts = ["p_%d" % i if e == 1 else "p_%d^%d" % (i, e)
-             for i, e in enumerate(es, 1) if e]
-    parts += ["p'_%d" % j if f == 1 else "p'_%d^%d" % (j, f)
-              for j, f in enumerate(fs, 1) if f]
-    return " ".join(parts) or "1"
+    return (_TEXT[m[0]][1] + _TEXT[m[1]][2])[1:] or "1"
 
 
 def poly_str(terms):
     """A {monomial: int} dict as text, in mono_key order: "p_1 - 2 p'_1", "0".
 
-    The unit (all exponents zero) prints as its coefficient alone.
+    The unit (all exponents zero) prints as its coefficient alone.  The
+    degree and text of each exponent tuple are read from one table; the
+    terms are sorted once on mono_key's (degree, primed, unprimed).
     """
-    out = ""
-    for m, c in sorted(terms.items(), key=lambda mc: mono_key(mc[0])):
-        body = mono_str(m)
-        if abs(c) != 1:
-            body = str(abs(c)) if body == "1" else "%d %s" % (abs(c), body)
-        out += (" - " if c < 0 else " + ") + body
+    rows = []
+    for (es, fs), c in terms.items():
+        (de, te, _), (df, _, tf) = _TEXT[es], _TEXT[fs]
+        rows.append((de + df, fs, es, c, te + tf))
     # the leading term drops its " + " and writes " - " as "-"
+    out = "".join((" - " if c < 0 else " + ") + (body[1:] or "1") if c in (1, -1)
+                  else "%s %d%s" % (" -" if c < 0 else " +", abs(c), body)
+                  for _, _, _, c, body in sorted(rows))
     return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
 
 
@@ -171,10 +178,27 @@ def restrict_terms(terms, va, to):
             if es[na:] == cut_a and fs[nb:] == cut_b}
 
 
+class _Filled(dict):
+    """A dict that fills a missing key k with fill(k) and keeps it."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, k):
+        v = self[k] = self.fill(k)
+        return v
+
+
 # Whitney images kept per target VariableSet, by source exponent tuple, and
-# the one copy of each monomial and exponent tuple their terms hold
+# the one copy of each monomial they hold.  _BUMPS[j] maps an exponent tuple
+# t to the one copy of t with exponent j raised by 1; _BUMPS[-1] keeps t and
+# holds the one copy of every tuple the maps return.  _TEXT holds the degree
+# and text of each exponent tuple that mono_str or poly_str reads
 _IMAGES = {}
 _SHARED = {}
+_BUMPS = _Filled(lambda j: _Filled(
+    lambda t: t if j < 0 else _BUMPS[-1][t[:j] + (t[j] + 1,) + t[j + 1:]]))
+_TEXT = _Filled(_tuple_text)
 
 
 def _times_p(terms, i, target):
@@ -183,22 +207,18 @@ def _times_p(terms, i, target):
     A term p_j p'_k raises the exponents at positions (j - 1, k - 1),
     where -1 stands for the unit p_0 = p'_0; out-of-range factors are 0.
     """
-    factor = [(j - 1, i - j - 1)
+    factor = [(_BUMPS[j - 1], _BUMPS[i - j - 1])
               for j in range(max(0, i - target.nb), min(i, target.na) + 1)]
     out = {}
-    # a one-term factor maps distinct monomials to distinct ones, so only
-    # a longer one makes equal monomials that are worth sharing
-    shared = len(factor) > 1
-    share = _SHARED.setdefault
+    get, share = out.get, _SHARED.setdefault
     for (eu, fu), c in terms.items():
-        for j, k in factor:
-            e = eu if j < 0 else eu[:j] + (eu[j] + 1,) + eu[j + 1:]
-            f = fu if k < 0 else fu[:k] + (fu[k] + 1,) + fu[k + 1:]
-            m2 = (e, f)
-            if shared:
-                m2 = (share(e, e), share(f, f))
-                m2 = share(m2, m2)
-            out[m2] = out.get(m2, 0) + c
+        for be, bf in factor:
+            m2 = (be[eu], bf[fu])
+            old = get(m2)
+            if old is None:  # first in the image: the one shared copy
+                out[share(m2, m2)] = c
+            else:
+                out[m2] = old + c
     return out
 
 
@@ -214,9 +234,9 @@ def s_hom(m, target):
     read off m's exponents and not kept.  Into other targets images are
     kept until pages.clear_cache(): the image of m is the kept image of
     m / p_i times the image of p_i, for the first p_i that divides m,
-    built bottom up in a loop, so no exponent is too deep.
-    Equal monomials and exponent tuples that a many-term factor makes
-    are one object.
+    built bottom up in a loop, so no exponent is too deep.  Exponents
+    go up through bump maps, and equal monomials and exponent tuples in
+    the kept images, the unit's zero tuples included, are one object.
     A kept dict is shared by every caller: read it, never mutate it.
     """
     es, fs = m
@@ -237,8 +257,8 @@ def s_hom(m, target):
         chain.append((es, i + 1))
         es = es[:i] + (es[i] - 1,) + es[i + 1:]
     terms = table.get(es)
-    if terms is None:  # the unit
-        terms = table[es] = {mono_one(target): 1}
+    if terms is None:  # the unit, times p_0 = 1 to share its zero tuples
+        terms = table[es] = _times_p({mono_one(target): 1}, 0, target)
     for es, i in reversed(chain):
         terms = table[es] = _times_p(terms, i, target)
     return terms
@@ -373,9 +393,8 @@ def free_gca_series(gens, D):
 def space_series(space, D):
     """Rank generating series of a flavored space, truncated at D.
 
-    Kept per (space, D), as mono_key is, until pages.clear_cache(): the
-    returned Series is the kept one, shared by every caller, who reads it
-    and never mutates it.
+    Kept per (space, D) until pages.clear_cache(): the returned Series is
+    the kept one, shared by every caller, who reads it and never mutates it.
     """
     vs = space.vars
     full = free_gca_series({4 * i: (i <= vs.na) + (i <= vs.nb)

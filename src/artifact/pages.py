@@ -44,10 +44,10 @@ degree, that they exhaust the computed second page, building each
 class's fold-column expansion in its degree's step and dropping it after.
 
 clear_cache() empties the grid and every table the modules below keep
-for reuse (Whitney images and the monomials they share, exponent tuples,
-monomial keys and labels, space series, stratum content and variable
-sets, shared bases); the tables change no result, only how often the
-same work is done.
+for reuse (Whitney images with the monomials they share and their bump
+maps, exponent tuples with their text, space series, stratum content and
+variable sets, shared bases); the tables change no result, only how
+often the same work is done.
 """
 
 from collections import defaultdict, namedtuple
@@ -56,8 +56,8 @@ from functools import cache, partial
 from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
-    mono_mul, is_orbit_rep, restrict_terms, poly_str, mono_key, mono_str,
-    _IMAGES, _SHARED, _exponent_tuples,
+    mono_mul, is_orbit_rep, restrict_terms, poly_str,
+    _IMAGES, _SHARED, _BUMPS, _TEXT, _exponent_tuples,
 )
 from .strata import Stratum, enumerate_strata, column_content, _variables
 from .e1 import BasisElement, IndexedBasis, column_series
@@ -87,15 +87,14 @@ _GRID = {}
 
 def clear_cache():
     """Empty the rank grid and every table the modules below it keep: the
-    Whitney images and the monomials they share, the exponent tuples of
-    each (weights, degree), the monomial keys and labels, the space
-    series, the stratum content and variable sets, and the bases that
-    assembled matrices share."""
+    Whitney images, their shared monomials and the bump maps raising their
+    exponents, the exponent tuples of each (weights, degree) and the text
+    of each tuple, the space series, the stratum content and variable
+    sets, and the bases that assembled matrices share."""
     _GRID.clear()
-    for table in (_IMAGES, _SHARED, _BASES):
+    for table in (_IMAGES, _SHARED, _BUMPS, _TEXT, _BASES):
         table.clear()
-    for table in (_exponent_tuples, mono_key, mono_str, space_series,
-                  column_content, _variables):
+    for table in (_exponent_tuples, space_series, column_content, _variables):
         table.cache_clear()
 
 

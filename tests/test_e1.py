@@ -50,6 +50,14 @@ def test_positions_are_consistent():
         assert el.degree == 13
 
 
+def test_position_of_a_missing_element_names_the_spot():
+    # an element of another degree is not in the basis: the lookup raises
+    # ArithmeticError naming the column and degree, also under -O
+    el = build_basis(4, 1, 9).elements[0]
+    with pytest.raises(ArithmeticError, match="not in the basis of column 1 degree 13"):
+        build_basis(4, 1, 13).position(el)
+
+
 def test_column_series_d4_fold():
     ser = column_series(4, 1, 13)
     assert ser.c == [0, 0, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 7]

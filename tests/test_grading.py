@@ -21,6 +21,8 @@ from artifact.grading import (
 small_vs = st.builds(VariableSet, st.integers(0, 7), st.integers(0, 7))
 square_vs = st.integers(0, 7).map(lambda a: VariableSet(a, a))
 degrees = st.sampled_from([0, 4, 8, 12, 16])
+coefficients = st.one_of(st.sampled_from([1, -1]),
+                         st.integers(2, 40).flatmap(lambda k: st.sampled_from([k, -k])))
 
 
 def _monomials_by_products(vs, degree):
@@ -163,6 +165,47 @@ class TestPolynomial:
         # any variable set, P(0, 0) and P(2, 0) included, prints as its
         # coefficient
         assert poly_str(terms) == want
+
+    @staticmethod
+    def _documented(terms):
+        # poly_str as its docstring states it, from the exponents alone: the
+        # terms in mono_key order, each as its sign, then |c| unless it is
+        # 1, then p_i^e and p'_j^f (exponent 1 left out), or "1" for a bare
+        # unit; the leading sign drops "+" and sticks "-" to its term
+        words = []
+        for (es, fs), c in sorted(terms.items(), key=lambda mc: mono_key(mc[0])):
+            body = ["%s_%d" % (v, i) + ("" if e == 1 else "^%d" % e)
+                    for v, exps in (("p", es), ("p'", fs))
+                    for i, e in enumerate(exps, 1) if e]
+            coef = [] if abs(c) == 1 else [str(abs(c))]
+            words += ["-" if c < 0 else "+", " ".join(coef + body) or "1"]
+        text = " ".join(words)
+        return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+
+    @given(small_vs.flatmap(lambda vs: degrees.flatmap(
+               lambda n: st.dictionaries(st.sampled_from(enumerate_monomials(vs, n)),
+                                         coefficients, max_size=8)
+               if enumerate_monomials(vs, n) else st.just({}))))
+    @example({((), ()): 1})  # the unit of P(0, 0)
+    @example({((), ()): -7})
+    @example({((0,), ()): -1})  # the unit of P(2, 0)
+    @example({((0,), ()): 5})
+    @settings(max_examples=80, deadline=None)
+    def test_homogeneous_dicts_print_as_documented(self, terms):
+        assert poly_str(terms) == self._documented(terms)
+
+    @given(small_vs.flatmap(lambda vs: st.dictionaries(
+               st.sampled_from([m for n in range(0, 21, 4)
+                                for m in enumerate_monomials(vs, n)]),
+               coefficients, max_size=10)))
+    @example({((0,), ()): 1, ((1,), ()): -3, ((2,), ()): 1})
+    @example({((0, 0), (0,)): -2, ((0, 1), (0,)): 1, ((2, 0), (1,)): -1,
+              ((0, 0), (2,)): 1})
+    @settings(max_examples=80, deadline=None)
+    def test_inhomogeneous_dicts_print_as_documented(self, terms):
+        # terms of several degrees sort by degree first, in every position
+        # and not only at the two ends
+        assert poly_str(terms) == self._documented(terms)
 
     def test_guards_raise_under_O(self):
         # misuse raises ValueError and the orbit-count exactness guard
@@ -314,6 +357,37 @@ class TestSplittingHom:
                 want = _times(want, w)
         assert s_hom(m, tgt) == s_hom(m, tgt) == want
         assert tgt not in grading._IMAGES
+
+    @given(st.integers(0, 12).flatmap(
+               lambda d: st.sampled_from([m for n in range(0, 41, 4)
+                                          for m in enumerate_monomials(VariableSet(d, 0), n)])),
+           st.tuples(st.integers(1, 6), st.integers(1, 6))
+             .filter(lambda ab: ab[0] != ab[1]).map(lambda ab: VariableSet(2 * ab[0], 2 * ab[1] + 1)))
+    @example(((2, 1), ()), VariableSet(2, 5))
+    @example(((0, 0, 1, 0, 1), ()), VariableSet(8, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_rectangular_targets_match_the_factor_product(self, m, tgt):
+        # into P(a, b) with na != nb the kept image is the product of the
+        # factor images W_i = sum_j p_j p'_{i-j}, multiplied out naively;
+        # a repeat call hands back the same dict, whose monomials and
+        # exponent tuples are the one shared copies
+        from artifact import grading
+
+        def unit(n, i):
+            return tuple(int(t == i - 1) for t in range(n))
+
+        want = {mono_one(tgt): 1}
+        for i, e in enumerate(m[0], 1):
+            w = {(unit(tgt.na, j), unit(tgt.nb, i - j)): 1
+                 for j in range(i + 1) if j <= tgt.na and i - j <= tgt.nb}
+            for _ in range(e):
+                want = _times(want, w)
+        image = s_hom(m, tgt)
+        assert image == want
+        assert s_hom(m, tgt) is image
+        for mono in image:
+            assert grading._SHARED[mono] is mono
+            assert all(grading._BUMPS[-1][t] is t for t in mono)
 
     def test_multiplicative(self):
         tgt = VariableSet(4, 4)

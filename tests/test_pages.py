@@ -575,8 +575,7 @@ def _tables():
             "exponents": grading._exponent_tuples.cache_info().currsize,
             "series": grading.space_series.cache_info().currsize,
             "bases": len(differentials._BASES),
-            "mono_key": grading.mono_key.cache_info().currsize,
-            "mono_str": grading.mono_str.cache_info().currsize,
+            "bumps": len(grading._BUMPS), "text": len(grading._TEXT),
             "column_content": strata.column_content.cache_info().currsize,
             "variables": strata._variables.cache_info().currsize}
 
