@@ -1,9 +1,10 @@
 """Deriving stratum content from the sign action alone.
 
 Each stratum carries a finite symmetry group acting on its polynomial
-content with signs.  Counting signed orbits of monomials gives a rank
-series that must agree, degree by degree, with the content rules used
-to build the first page.  This demo runs that comparison in the open
+content with signs.  The mean over the group of each element's trace
+(Molien's trace formula) gives the rank series of the invariants, which
+must agree, degree by degree, with the content rules used to build the
+first page.  This demo runs that comparison in the open
 for a few strata and prints the group that does the work.  Exits 1 if
 any stratum disagrees.
 """

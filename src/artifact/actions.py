@@ -12,17 +12,24 @@ applying a substitution to the ordered product above picks up Koszul
 signs when two odd-degree symbols trade places.
 
 This module builds those groups from the generator tables and counts
-invariants by signed orbit enumeration, degree by degree.  A
-substitution's sign on an ambient element depends only on its Euler
-flags, so each stratum reads one sign table per flag pair and walks
-each orbit once.  It is the independent route to the content rules
-hard-coded in strata.py (it imports them only to compare), and the
-crosscheck between the two is part of the acceptance suite.
+invariants by the trace formula of Molien's theorem (T. Molien, 1897;
+R. P. Stanley, "Invariants of finite groups and their applications to
+combinatorics", Bull. AMS 1, 1979): the invariant rank in degree n is
+(1/|G|) sum_g tr(g | degree n).  A substitution's sign on an ambient
+element depends only on the element's Euler flags, so each trace is a
+short signed sum of shifted ring series.
+
+It is the independent route to the content rules hard-coded in
+strata.py (it imports them only to compare): the flavors and Euler
+pieces come from the sign tables alone, never from column_content.  It
+shares only the ring-series arithmetic with the engine, space_series of
+the full ring P(a, b) and free_gca_series of its swap-fixed subring.
+The crosscheck between the two routes is part of the acceptance suite.
 """
 
 from collections import namedtuple
 
-from .grading import Series, enumerate_monomials, mono_swap
+from .grading import FULL, FlavoredSpace, Series, free_gca_series, space_series
 from .strata import enumerate_strata, content_series
 from .pages import CheckReport
 
@@ -130,63 +137,50 @@ def gen_sign(g, s, ea, eb):
     return sign
 
 
-def apply_gen(g, s, x):
-    """Apply a substitution to an ambient basis element (ea, eb, mono).
-
-    Returns (sign, element), the sign being gen_sign's.
-    """
-    ea, eb, m = x
-    if not g.exchange:
-        return gen_sign(g, s, ea, eb), x
-    if s.a != s.b:
-        raise ValueError("exchange applied to stratum %r with a != b" % (s,))
-    return gen_sign(g, s, ea, eb), (eb, ea, mono_swap(m))
-
-
-def ambient_elements(s, n):
-    """Ambient basis elements of total degree n over one stratum."""
-    out = []
-    ea_range = (0, 1) if (s.a % 2 == 0 and s.a >= 2) else (0,)
-    eb_range = (0, 1) if (s.b % 2 == 0 and s.b >= 2) else (0,)
-    for ea in ea_range:
-        for eb in eb_range:
-            md = n - s.thom_degree - ea * s.a - eb * s.b
-            if md < 0:
-                continue
-            for m in enumerate_monomials(s.vars, md):
-                out.append((ea, eb, m))
-    return out
-
-
 def invariant_series(s, D):
-    """Invariant ranks by signed orbit counting.
+    """Invariant ranks by the trace formula.
 
-    An orbit contributes 1 unless some group element fixes one of its
-    elements with sign -1, in which case the signed orbit sum vanishes.
-    A substitution that exchanges maps x = (ea, eb, m) to (eb, ea, swap m)
-    and any other fixes x, so the orbit of x is {x, swap x}, and the
-    elements fixing x are all of G if x is swap-fixed and the
-    non-exchanging ones if not.  Their signs depend on x only through
-    (ea, eb), so one table says whether an orbit dies: O(1) per x.
+    The invariant rank in degree n is (1/|G|) sum_g tr(g | degree n),
+    by Molien's theorem (T. Molien, 1897; R. P. Stanley, Bull. AMS 1,
+    1979).  The flavors come from the sign tables alone; only the ring
+    series of P(a, b) and of its swap-fixed subring are shared.  Every g
+    maps each ambient element x = (ea, eb, m) to a signed element, with
+    gen_sign's sign, so tr(g) sums that sign over the x that g fixes.
+    A non-exchanging g fixes every x: its trace is
+    sum_{ea, eb} gen_sign(g, s, ea, eb) #P(a, b) in degree
+    n - thom - ea a - eb b.  An exchanging g, which exists only at
+    a = b, maps x to (eb, ea, swap m), so it fixes exactly the x with
+    ea = eb and m = swap m: the free ring on the degrees 8i, i <= a/2.
+    The division by |G| must be exact, or ArithmeticError names the
+    stratum and the degree; an exchange at a != b raises ValueError.
     """
     G = group_closure(symmetry_action(s))
-    swap = next((g for g in G if g.exchange), None)
-    # (ea, eb, x swap-fixed) -> whether a substitution fixing x has sign -1
-    dead = {(ea, eb, fixed): any(gen_sign(g, s, ea, eb) < 0
-                                 for g in G if fixed or not g.exchange)
-            for ea in (0, 1) for eb in (0, 1) for fixed in (False, True)}
-    c = [0] * (D + 1)
-    for n in range(s.thom_degree, D + 1):
-        seen = set()
-        for x in ambient_elements(s, n):
-            fixed = False
-            if swap is not None:
-                if x in seen:
-                    continue
-                y = apply_gen(swap, s, x)[1]
-                seen.add(y)
-                fixed = y == x
-            c[n] += not dead[x[0], x[1], fixed]
+    vs = s.vars
+    full = space_series(FlavoredSpace(vs, FULL), D).c
+    fixed = free_gca_series({8 * i: 1 for i in range(1, vs.na + 1)}, D).c
+    # e_a exists only for even a >= 2
+    ea_range = (0, 1) if s.a % 2 == 0 and s.a >= 2 else (0,)
+    eb_range = (0, 1) if s.b % 2 == 0 and s.b >= 2 else (0,)
+    flags = [(ea, eb) for ea in ea_range for eb in eb_range]
+    total = [0] * (D + 1)
+    for g in G:
+        if g.exchange and s.a != s.b:
+            raise ValueError("exchange applied to stratum %r with a != b" % (s,))
+        ring = fixed if g.exchange else full
+        for ea, eb in flags:
+            if g.exchange and ea != eb:
+                continue
+            sign = gen_sign(g, s, ea, eb)
+            shift = s.thom_degree + ea * s.a + eb * s.b
+            for n in range(shift, D + 1):
+                total[n] += sign * ring[n - shift]
+    c = []
+    for n, t in enumerate(total):
+        q, r = divmod(t, len(G))
+        if r:
+            raise ArithmeticError("trace sum %d of %r in degree %d is not a "
+                                  "multiple of |G| = %d" % (t, s, n, len(G)))
+        c.append(q)
     return Series(c, D)
 
 

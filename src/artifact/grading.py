@@ -92,16 +92,6 @@ def mono_swap(m):
     return (fs, es)
 
 
-def mono_key(m):
-    """Graded order, then comparison of (primed, unprimed) exponent tuples.
-
-    Puts p_1 before p'_1, and orders the degree 8 block of P(2, 2) as
-    p_1^2, p_1 p'_1, p'_1^2.
-    """
-    es, fs = m
-    return (mono_degree(m), fs, es)
-
-
 @cache
 def _exponent_tuples(weights, total):
     # all exponent tuples e >= 0 with sum(w_i * e_i) == total >= 0, in
@@ -124,11 +114,16 @@ def _exponent_tuples(weights, total):
 
 
 def enumerate_monomials(vs, degree):
-    """All monomials of P(a, b) of the given degree, in mono_key order."""
+    """All monomials of P(a, b) of the given degree, ordered by their
+    primed, then unprimed exponent tuples.
+
+    That puts p_1 before p'_1, and orders the degree 8 block of P(2, 2)
+    as p_1^2, p_1 p'_1, p'_1^2.
+    """
     if degree < 0 or degree % 4 != 0:
         return []
-    # within one degree mono_key compares (fs, es), the lexicographic
-    # order in which _exponent_tuples yields the primed weights first
+    # with the primed weights first, _exponent_tuples' lexicographic
+    # order is the order of (fs, es)
     weights = tuple(range(4, 4 * vs.nb + 1, 4)) + tuple(range(4, 4 * vs.na + 1, 4))
     nb = vs.nb
     return [(t[nb:], t[:nb]) for t in _exponent_tuples(weights, degree)]
@@ -147,11 +142,12 @@ def mono_str(m):
 
 
 def poly_str(terms):
-    """A {monomial: int} dict as text, in mono_key order: "p_1 - 2 p'_1", "0".
+    """A {monomial: int} dict as text: "p_1 - 2 p'_1", "0".
 
-    The unit (all exponents zero) prints as its coefficient alone.  The
-    degree and text of each exponent tuple are read from one table; the
-    terms are sorted once on mono_key's (degree, primed, unprimed).
+    The terms are in graded order, then by primed, then unprimed exponent
+    tuples.  The unit (all exponents zero) prints as its coefficient
+    alone.  The degree and text of each exponent tuple are read from one
+    table; the terms are sorted once on (degree, primed, unprimed).
     """
     rows = []
     for (es, fs), c in terms.items():

@@ -1,6 +1,9 @@
 """Sign-action oracle: groups, signed orbits, content crosscheck."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +11,43 @@ from hypothesis import strategies as st
 
 from artifact import actions
 from artifact.cli import main
-from artifact.grading import Series
+from artifact.grading import Series, enumerate_monomials, mono_swap
 from artifact.strata import Stratum, enumerate_strata, content_series
 from artifact.actions import (
-    ActionGen, IDENTITY, compose, group_closure, symmetry_action,
-    apply_gen, ambient_elements, invariant_series, oracle_crosscheck,
+    ActionGen, IDENTITY, compose, group_closure, symmetry_action, gen_sign,
+    invariant_series, oracle_crosscheck,
 )
+
+
+# The reference action, element by element: the ambient basis of one
+# degree and a substitution applied to one of its elements.
+
+def apply_gen(g, s, x):
+    """Apply a substitution to an ambient basis element (ea, eb, mono).
+
+    Returns (sign, element), the sign being gen_sign's.
+    """
+    ea, eb, m = x
+    if not g.exchange:
+        return gen_sign(g, s, ea, eb), x
+    if s.a != s.b:
+        raise ValueError("exchange applied to stratum %r with a != b" % (s,))
+    return gen_sign(g, s, ea, eb), (eb, ea, mono_swap(m))
+
+
+def ambient_elements(s, n):
+    """Ambient basis elements of total degree n over one stratum."""
+    out = []
+    ea_range = (0, 1) if (s.a % 2 == 0 and s.a >= 2) else (0,)
+    eb_range = (0, 1) if (s.b % 2 == 0 and s.b >= 2) else (0,)
+    for ea in ea_range:
+        for eb in eb_range:
+            md = n - s.thom_degree - ea * s.a - eb * s.b
+            if md < 0:
+                continue
+            for m in enumerate_monomials(s.vars, md):
+                out.append((ea, eb, m))
+    return out
 
 
 signs = st.sampled_from([1, -1])
@@ -151,11 +185,11 @@ def _orbit_walk_series(s, D):
     return Series(c, D)
 
 
-@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("d", range(1, 15))
 def test_sign_tables_match_the_orbit_walk(d):
-    # invariant_series reads one sign table per Euler-flag pair instead
-    # of applying the group to each element; levels 1..8 cover every
-    # level residue mod 4 on both sides of the fold
+    # invariant_series sums traces read off one sign per Euler-flag pair
+    # instead of applying the group to each element; levels 1..8 cover
+    # every level residue mod 4 on both sides of the fold
     D = 40
     for level in range(1, 9):
         for s in enumerate_strata(d, level):
@@ -203,3 +237,28 @@ def test_failing_crosscheck_fails_oracle_and_verify(monkeypatch, capsys):
         "check": "oracle level 2", "ok": False,
         "detail": "A_2(1,3) first mismatch at degree 10"}
     assert [name for name, r in rows.items() if not r["ok"]] == ["oracle level 2"]
+
+
+def test_a_trace_sum_off_a_multiple_of_the_group_order_raises_under_O():
+    # three elements whose traces sum to -1 on the unit of A_1(0,5): the
+    # mean over the group is not whole, and the guard must say where
+    import artifact
+    code = (
+        "from artifact import actions\n"
+        "from artifact.actions import ActionGen, IDENTITY, invariant_series\n"
+        "from artifact.strata import Stratum\n"
+        "flip = ActionGen(False, -1, 1, 1, 1, 1)\n"
+        "actions.group_closure = lambda gens: [IDENTITY, flip, flip]\n"
+        "try:\n"
+        "    invariant_series(Stratum(1, 0, 5), 20)\n"
+        "except ArithmeticError as e:\n"
+        "    print(e)\n"
+        "else:\n"
+        "    raise SystemExit('ArithmeticError not raised')\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "trace sum -1 of A_1(0,5) in degree 5 is not a multiple of |G| = 3"]

@@ -273,7 +273,8 @@ def test_expand_guards_survive_O():
 
 
 def test_argument_checks_and_guards_survive_O():
-    # wrong-column calls, apply_gen's exchange at a != b and a skew
+    # wrong-column calls, an exchange in the symmetry group of a stratum
+    # with a != b (patched in, since no table makes one) and a skew
     # element on a swap-fixed monomial are argument errors; a wrong Euler
     # flag at a = b, a symmetry group above order 4 and a duplicate basis
     # element break exactness.  Each must still raise under -O
@@ -282,7 +283,8 @@ def test_argument_checks_and_guards_survive_O():
         "from artifact.grading import FULL, SKEW, VariableSet, mono_one\n"
         "from artifact.strata import Stratum, ContentPiece\n"
         "from artifact.e1 import BasisElement, IndexedBasis\n"
-        "from artifact.actions import ActionGen, apply_gen, group_closure\n"
+        "from artifact import actions\n"
+        "from artifact.actions import ActionGen, group_closure, invariant_series\n"
         "from artifact.differentials import (\n"
         "    d0, d_fold, d_even_col, d_odd_col, element_terms)\n"
         "def el(level, a, b, euler, flavor=FULL):\n"
@@ -290,14 +292,14 @@ def test_argument_checks_and_guards_survive_O():
         "                        mono_one(VariableSet(a, b)))\n"
         "fold, flips = el(1, 0, 7, False), [ActionGen(False, -1, 1, 1, 1, 1),\n"
         "    ActionGen(False, 1, -1, 1, 1, 1), ActionGen(False, 1, 1, -1, 1, 1)]\n"
+        "actions.symmetry_action = lambda s: [ActionGen(True, 1, 1, 1, 1, 1)]\n"
         "for exc, f in [\n"
         "        (ValueError, lambda: d0(6, fold)),\n"
         "        (ValueError, lambda: d_fold(6, el(0, 6, 0, False))),\n"
         "        (ValueError, lambda: d_even_col(6, el(3, 3, 3, True))),\n"
         "        (ValueError, lambda: d_odd_col(6, el(2, 3, 3, False))),\n"
         "        (ValueError, lambda: element_terms(el(2, 2, 2, False, SKEW))),\n"
-        "        (ValueError, lambda: apply_gen(ActionGen(True, 1, 1, 1, 1, 1),\n"
-        "                                       Stratum(2, 1, 5), (0, 0, fold.mono))),\n"
+        "        (ValueError, lambda: invariant_series(Stratum(2, 1, 5), 20)),\n"
         "        (ArithmeticError, lambda: d_odd_col(6, el(3, 3, 3, False))),\n"
         "        (ArithmeticError, lambda: d_odd_col(6, el(5, 3, 3, True))),\n"
         "        (ArithmeticError, lambda: group_closure(flips)),\n"

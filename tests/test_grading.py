@@ -12,10 +12,18 @@ from hypothesis import strategies as st
 
 from artifact.grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
-    mono_one, mono_degree, mono_mul, mono_swap, mono_key,
+    mono_one, mono_degree, mono_mul, mono_swap,
     enumerate_monomials, mono_str, poly_str, restrict_terms, s_hom,
     space_series, orbit_reps, free_gca_series,
 )
+
+
+def mono_key(m):
+    # the reference order of monomials: graded, then by the primed, then
+    # the unprimed exponent tuple.  It puts p_1 before p'_1, and orders
+    # the degree 8 block of P(2, 2) as p_1^2, p_1 p'_1, p'_1^2
+    es, fs = m
+    return (mono_degree(m), fs, es)
 
 
 small_vs = st.builds(VariableSet, st.integers(0, 7), st.integers(0, 7))

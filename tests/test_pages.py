@@ -263,6 +263,22 @@ def test_a_changed_class_coefficient_fails_the_kernel_check(monkeypatch, d, D):
         "%d classes, 1 failures" % len(classes))
 
 
+def test_a_class_outside_im_d0_fails_the_sigma_check(monkeypatch):
+    # a tau class relabelled sigma lies in ker d1 but not in im d0: it
+    # raises the rank of the image rows by one, and one is enough to fail
+    # the sigma entry
+    d, D = 6, 30
+    classes = list(generator_classes(d, D))
+    i = next(i for i, cl in enumerate(classes)
+             if cl.kind == "tau" and cl.degree >= d + 1)
+    classes[i] = classes[i]._replace(kind="sigma")
+    monkeypatch.setattr(pages, "generator_classes", lambda d, D: classes)
+    assert [(name, ok) for name, ok, _ in verify_generators(d, D).entries] == [
+        ("generators: all classes lie in ker d1", True),
+        ("generators: sigma classes lie in im d0", False),
+        ("generators: remaining classes span E2 column 1", True)]
+
+
 def _eager_classes(d, D):
     # the classes as (kind, family, data, degree, expansion), each
     # expansion built up front: the recipe expansion(d) must rebuild
@@ -663,9 +679,9 @@ def test_kept_tables_are_shared_not_copied():
     sq = VariableSet(6, 6)
     img = s_hom(((1, 1, 1), ()), sq)
     assert s_hom(((1, 1, 1), ()), sq) is img
-    # images share their monomials and exponent tuples: equal ones are one
-    # object (the unit image aside, which _times_p does not build)
-    images = [s_hom(m, sq) for md in range(4, 25, 4)
+    # images share their monomials and exponent tuples, the unit image's
+    # included: equal ones are one object
+    images = [s_hom(m, sq) for md in range(0, 25, 4)
               for m in enumerate_monomials(VariableSet(6, 0), md)]
     monos = [m for image in images for m in image]
     exponents = [t for m in monos for t in m]
