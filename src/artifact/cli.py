@@ -119,7 +119,8 @@ def _cmd_verify(args):
         entries.append(("oracle level %d" % level, not bad,
                         "%s %s" % bad[0] if bad else ""))
     try:
-        # the three checks below read one assembly
+        # the three checks below read one assembly, of columns 0..6; a
+        # column >= 7 rests on the period-4 rule and the summed closed form
         maps = assemble_columns(d, D)
         entries += chain_check(d, D, maps=maps).entries
         entries += collapse_check(d, D, maps=maps).entries

@@ -28,13 +28,13 @@ The kernels the generator labels and certificates lean on (s_hom,
 enumerate_monomials, mono_str and poly_str) work on exponent tuples and
 plain dicts, and keep their work until pages.clear_cache(): s_hom every
 Whitney image into a target with both kinds of variable (into any other
-its image is one monomial, read off the exponents), with one copy of each
-monomial and exponent tuple and per position a bump map from a tuple to
-its raised copy; enumerate_monomials its tuples per (weights, degree);
-mono_str and poly_str the degree and text per exponent tuple; and
-space_series each series per (space, D).  A kept image, tuple list or
-series is handed to every caller as it is, never copied, so callers
-read it and never mutate it.  Bad arguments raise
+its image is one monomial, read off the exponents), with per position a
+bump map from a tuple to its raised copy and, in the identity map, one
+copy of each tuple and monomial; enumerate_monomials its tuples per
+(weights, degree); mono_str and poly_str the degree and text per
+exponent tuple; and space_series each series per (space, D).  A kept
+image, tuple list or series is handed to every caller as it is, never
+copied, so callers read it and never mutate it.  Bad arguments raise
 ValueError and the exactness guards in space_series and free_gca_series
 raise ArithmeticError, so every check holds under python -O.
 """
@@ -185,13 +185,13 @@ class _Filled(dict):
         return v
 
 
-# Whitney images kept per target VariableSet, by source exponent tuple, and
-# the one copy of each monomial they hold.  _BUMPS[j] maps an exponent tuple
-# t to the one copy of t with exponent j raised by 1; _BUMPS[-1] keeps t and
-# holds the one copy of every tuple the maps return.  _TEXT holds the degree
-# and text of each exponent tuple that mono_str or poly_str reads
+# Whitney images kept per target VariableSet, by source exponent tuple.
+# _BUMPS[j] maps an exponent tuple t to the one copy of t with exponent j
+# raised by 1; _BUMPS[-1] keeps t and holds the one copy of every tuple the
+# maps return and of every monomial the images hold (a monomial is a pair
+# of tuples, so no key of one kind equals a key of the other).  _TEXT holds
+# the degree and text of each exponent tuple that mono_str or poly_str reads
 _IMAGES = {}
-_SHARED = {}
 _BUMPS = _Filled(lambda j: _Filled(
     lambda t: t if j < 0 else _BUMPS[-1][t[:j] + (t[j] + 1,) + t[j + 1:]]))
 _TEXT = _Filled(_tuple_text)
@@ -206,7 +206,7 @@ def _times_p(terms, i, target):
     factor = [(_BUMPS[j - 1], _BUMPS[i - j - 1])
               for j in range(max(0, i - target.nb), min(i, target.na) + 1)]
     out = {}
-    get, share = out.get, _SHARED.setdefault
+    get, share = out.get, _BUMPS[-1].setdefault
     for (eu, fu), c in terms.items():
         for be, bf in factor:
             m2 = (be[eu], bf[fu])

@@ -35,19 +35,22 @@ use it.
 With K = max(1, D - d), chain_check multiplies consecutive matrices out
 of columns 0..min(5, K - 1), collapse_check ranks the counted cells of
 columns 1..min(5, K) and verify_generators reads d0's images and the
-fold matrices.
+fold matrices.  So verify certifies columns 0..6 by assembly; a column
+k >= 7 rests on the period-4 rule, which the tests check on the counted
+grid only (d <= 16, D = 60), and on the summed closed form.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
 and the Euler-carried I classes for odd d); generator_classes builds
-their labels and degrees, and verify_generators checks, degree by
-degree, that they exhaust the computed second page, building each
-class's fold-column expansion in its degree's step and dropping it after.
+their labels and degrees in one loop over the degrees, and
+verify_generators reads each degree's classes as one run and checks
+that they exhaust the computed second page, building each class's
+fold-column expansion in its degree's step and dropping it after.
 
-clear_cache() empties the grid and every table the modules below keep
-for reuse (Whitney images with the monomials they share and their bump
-maps, exponent tuples with their text, space series, stratum content and
-variable sets, shared bases); the tables change no result, only how
-often the same work is done.
+clear_cache() empties the grid and the eight tables the modules below
+keep for reuse (Whitney images, bump maps holding one copy of their
+monomials and tuples, tuple text, exponent tuples, space series, stratum
+content, variable sets, shared bases); the tables change no result, only
+how often the same work is done.
 """
 
 from collections import defaultdict, namedtuple
@@ -57,7 +60,7 @@ from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
     mono_mul, is_orbit_rep, restrict_terms, poly_str,
-    _IMAGES, _SHARED, _BUMPS, _TEXT, _exponent_tuples,
+    _IMAGES, _BUMPS, _TEXT, _exponent_tuples,
 )
 from .strata import Stratum, enumerate_strata, column_content, _variables
 from .e1 import BasisElement, IndexedBasis, column_series
@@ -86,13 +89,14 @@ _GRID = {}
 
 
 def clear_cache():
-    """Empty the rank grid and every table the modules below it keep: the
-    Whitney images, their shared monomials and the bump maps raising their
-    exponents, the exponent tuples of each (weights, degree) and the text
-    of each tuple, the space series, the stratum content and variable
-    sets, and the bases that assembled matrices share."""
+    """Empty the nine tables: the rank grid and what the modules below it
+    keep, the Whitney images, the bump maps raising their exponents (whose
+    identity map holds one copy of every monomial and tuple), the exponent
+    tuples of each (weights, degree) and the text of each tuple, the space
+    series, the stratum content and variable sets, and the bases that
+    assembled matrices share."""
     _GRID.clear()
-    for table in (_IMAGES, _SHARED, _BUMPS, _TEXT, _BASES):
+    for table in (_IMAGES, _BUMPS, _TEXT, _BASES):
         table.clear()
     for table in (_exponent_tuples, space_series, column_content, _variables):
         table.cache_clear()
@@ -418,7 +422,7 @@ class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree recip
 
 
 def generator_classes(d, D):
-    """All fold-column kernel generators of degree <= D.
+    """All fold-column kernel generators of degree <= D, in ascending degree.
 
     Every tau and sigma class is a polynomial restricted down the fold
     staircase (restriction_expansion).  tau classes, one family per
@@ -428,47 +432,42 @@ def generator_classes(d, D):
     polynomial is the Whitney image in the square variable set).  For
     odd d the sigma classes restrict a skew polynomial from the top fold
     stratum, and the Euler part of the fold column, which d_fold kills
-    and nothing maps into, gives the I classes (I_top at a = b).
+    and nothing maps into, gives the I classes (I_top at a = b).  One
+    loop asks every family for each degree: tau family by family in
+    ascending a_top, then sigma, then the I classes stratum by stratum.
     """
     fold_strata = enumerate_strata(d, 1)  # rejects d < 1
     if D < 0:
         raise ValueError("max degree %d is below 0" % D)
-    out = []
     fold = d + 1
+    taus = []  # (family, ring, its top primed variable, lowest degree, recipe)
     for a_top in range((d + 1) % 2, d // 2 + 1, 2):
         ring = VariableSet(a_top, d + 1 - a_top)
         idx = ring.nb
         unit = ((0,) * ring.na, tuple(1 if t == idx - 1 else 0 for t in range(ring.nb)))
-        recipe = (a_top, ring)
-        for md in range(0, D - fold - 4 * idx + 1, 4):
-            for m in enumerate_monomials(ring, md):
-                out.append(GeneratorClass("tau", a_top // 2, {mono_mul(m, unit): 1},
-                                          fold + 4 * idx + md, recipe))
+        taus.append((a_top // 2, ring, unit, fold + 4 * idx, (a_top, ring)))
     if d % 2 == 0:
         square = VariableSet(d, d)
-        recipe = (d // 2, square)
-        for md in range(0, D - fold + 1, 4):
-            for m in enumerate_monomials(VariableSet(d, 0), md):
-                out.append(GeneratorClass("sigma", None, s_hom((m[0], ()), square),
-                                          fold + md, recipe))
-        return out
-    d2 = (d + 1) // 2
-    square = VariableSet(d2, d2)
-    recipe = (d2, square)
-    for md in range(0, D - fold + 1, 4):
-        for k in orbit_reps(FlavoredSpace(square, SKEW), md):
-            out.append(GeneratorClass("sigma", None, {k: 1, mono_swap(k): -1},
-                                      fold + md, recipe))
-    for s in fold_strata:
-        piece = _piece_for(s, True)
-        if piece is None:
-            continue
-        kind, family = ("i_top", None) if s.a == s.b else ("i", s.a)
-        for md in range(0, D - piece.offset(s) + 1, 4):
-            for m in orbit_reps(piece.space(s), md):
+        sigma = lambda md: [s_hom((m[0], ()), square)
+                            for m in enumerate_monomials(VariableSet(d, 0), md)]
+    else:
+        square = VariableSet(fold // 2, fold // 2)
+        sigma = lambda md: [{k: 1, mono_swap(k): -1}
+                            for k in orbit_reps(FlavoredSpace(square, SKEW), md)]
+    recipe = (fold // 2, square)  # sigma restricts from the top fold stratum
+    # the Euler part of the fold column: none for even d, where a + b is odd
+    eulers = [(s, piece, ("i_top", None) if s.a == s.b else ("i", s.a))
+              for s in fold_strata if (piece := _piece_for(s, True))]
+    out = []
+    for n in range(D + 1):
+        for family, ring, unit, low, tau_recipe in taus:
+            out += [GeneratorClass("tau", family, {mono_mul(m, unit): 1}, n, tau_recipe)
+                    for m in enumerate_monomials(ring, n - low)]
+        out += [GeneratorClass("sigma", None, q, n, recipe) for q in sigma(n - fold)]
+        for s, piece, (kind, family) in eulers:
+            for m in orbit_reps(piece.space(s), n - piece.offset(s)):
                 el = BasisElement(s, piece, m)
-                out.append(GeneratorClass(kind, family, element_terms(el),
-                                          el.degree, el))
+                out.append(GeneratorClass(kind, family, element_terms(el), el.degree, el))
     return out
 
 
@@ -521,9 +520,7 @@ def verify_generators(d, D, *, maps=None):
     maps = _reader(d, D, maps)
     _, sizes, ranks, _ = _grid(d, D)
     classes = generator_classes(d, D)
-    by_deg = defaultdict(list)
-    for cl in classes:
-        by_deg[cl.degree].append(cl)
+    at = 0  # the classes come in ascending degree: each degree's are one run
     bad_kernel = 0
     sigma_ok = True
     span_bad = None
@@ -534,7 +531,8 @@ def verify_generators(d, D, *, maps=None):
         im = ranks[0][n - 1]
         fold = maps(1, n)
         vecs = {"sigma": [], "rest": []}
-        for cl in by_deg.get(n, []):
+        while at < len(classes) and classes[at].degree == n:
+            cl, at = classes[at], at + 1
             vec = {fold.source.position(el): c for el, c in cl.expansion(d).items()}
             bad_kernel += bool(fold.apply(vec))
             key = "sigma" if (d % 2 == 0 and cl.kind == "sigma") else "rest"

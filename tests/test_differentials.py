@@ -152,6 +152,15 @@ class TestHigherColumns:
         image = differential(4, els[0])
         assert sorted(c for c in image.values()) == [COVER_FACTOR, COVER_FACTOR]
 
+    def test_even_column_cover_entries_are_two(self):
+        # U_{0,4,2}.e.1 maps onto both sheets U+-_{0,4,3}.e.1 with the
+        # covering multiplicity 2; ranks over Q cannot tell 2 from 1, the
+        # entries of the assembled matrix can
+        m = assemble_matrix(4, 2, 10)
+        assert [repr(el) for el in m.source][1] == "U_{0,4,2}.e.1"
+        assert [repr(el) for el in m.target][:2] == ["U+_{0,4,3}.e.1", "U-_{0,4,3}.e.1"]
+        assert m.cols == [{}, {0: 2, 1: 2}, {}, {}]
+
     def test_odd_column_sheets_cancel_in_pairs(self):
         els = [e for e in build_basis(4, 5, 9) if e.stratum.sign is not None]
         plus = [e for e in els if e.stratum.sign == 1]

@@ -394,8 +394,8 @@ class TestSplittingHom:
         assert image == want
         assert s_hom(m, tgt) is image
         for mono in image:
-            assert grading._SHARED[mono] is mono
-            assert all(grading._BUMPS[-1][t] is t for t in mono)
+            assert grading._BUMPS[-1].get(mono) is mono
+            assert all(grading._BUMPS[-1].get(t) is t for t in mono)
 
     def test_multiplicative(self):
         tgt = VariableSet(4, 4)

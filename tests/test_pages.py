@@ -107,6 +107,26 @@ def test_d6_correction_is_noted():
     assert closed_form_notes(6, 1) is not None
 
 
+def test_odd_d_notes():
+    tau = ("odd-d tau block encoded over P(2j, d+1-2j); Euler block over "
+           "even a <= (d-1)/2")
+    assert closed_form_notes(5, "inf") == [tau]
+    assert closed_form_notes(5, 2) == [
+        tau, "for odd d the truncations 2r and 2r+1 with r odd match the "
+             "untruncated series"]
+
+
+@pytest.mark.parametrize("d", range(1, 12, 2))
+def test_odd_d_truncations_with_r_odd_match_the_full_page(d):
+    # the claim of the second odd-d note, on the computed page: R = 2r and
+    # 2r + 1 give the untruncated total for r odd, and not for r even
+    full = e2_ranks(d, "inf", 60).total
+    for R in (2, 3, 6, 7, 10, 11):
+        assert e2_ranks(d, R, 60).total == full, R
+    for R in (4, 5, 8, 9):
+        assert e2_ranks(d, R, 60).total != full, R
+
+
 @pytest.mark.parametrize("d,degree", [(6, 19), (8, 17), (10, 19)])
 def test_drift_degree_in_notes(d, degree):
     # first nonzero coefficient of t^(d+1)(S(d/2,d/2) - P(d,0))
@@ -269,8 +289,8 @@ def test_a_class_outside_im_d0_fails_the_sigma_check(monkeypatch):
     # the sigma entry
     d, D = 6, 30
     classes = list(generator_classes(d, D))
-    i = next(i for i, cl in enumerate(classes)
-             if cl.kind == "tau" and cl.degree >= d + 1)
+    [i] = [i for i, cl in enumerate(classes) if cl.label() == "tau[j=0](p'_3)"]
+    assert classes[i].degree == 19
     classes[i] = classes[i]._replace(kind="sigma")
     monkeypatch.setattr(pages, "generator_classes", lambda d, D: classes)
     assert [(name, ok) for name, ok, _ in verify_generators(d, D).entries] == [
@@ -321,11 +341,13 @@ def _eager_classes(d, D):
 
 
 def test_expansion_rebuilds_the_eager_classes():
+    # generator_classes lists the eager classes sorted stably by degree
     seen = set()
     for d in range(1, 13):
         classes = generator_classes(d, 40)
         assert [(cl.kind, cl.family, cl.data, cl.degree, cl.expansion(d))
-                for cl in classes] == _eager_classes(d, 40), d
+                for cl in classes] == sorted(_eager_classes(d, 40),
+                                             key=lambda cl: cl[3]), d
         seen |= {(cl.kind, d % 2) for cl in classes}
     # tau of both parities, even and odd sigma, I and I_top
     assert seen == {("tau", 0), ("tau", 1), ("sigma", 0), ("sigma", 1),
@@ -565,6 +587,26 @@ def test_the_grid_assembles_one_new_fold_cell_per_growth(monkeypatch):
     assert grid(25, 30, 12, cold=False) == ([], 0, 0)
 
 
+def test_a_miscounted_fold_cell_in_a_growth_fails_the_guard(monkeypatch):
+    # growing the d = 4 grid from D = 22 to 30 guards its lowest new fold
+    # cell with Euler-free elements, degree 25 (23 is empty): a column 1
+    # miscounted there by one raises
+    pages.clear_cache()
+    pages._grid(4, 22)
+    real = pages._counted_ranks
+
+    def counted(blocks, columns, D):
+        ranks = real(blocks, columns, D)
+        ranks[1].c[25] += 1
+        return ranks
+
+    monkeypatch.setattr(pages, "_counted_ranks", counted)
+    with pytest.raises(ArithmeticError,
+                       match="^fold count differs from assembly at degree 25$"):
+        pages._grid(4, 30)
+    pages.clear_cache()
+
+
 def test_a_check_called_alone_assembles_only_the_cells_it_reads(monkeypatch):
     # the checks read assemble_columns' reader, which assembles a cell on
     # its first read and keeps it: collapse_check reads columns 1..5 and
@@ -587,7 +629,6 @@ def _tables():
     # every table clear_cache empties, with its size
     from artifact import grading, strata
     return {"grid": len(pages._GRID), "images": len(grading._IMAGES),
-            "shared": len(grading._SHARED),
             "exponents": grading._exponent_tuples.cache_info().currsize,
             "series": grading.space_series.cache_info().currsize,
             "bases": len(differentials._BASES),
@@ -599,11 +640,11 @@ def _tables():
 def test_one_term_images_share_no_monomial():
     # every p_i has a one-term image in the certificate's target
     # P(0, d + 1), so s_hom reads each image off the exponents and keeps
-    # nothing: neither an image table nor a shared monomial
+    # nothing: neither an image table nor a bump map with its monomials
     from artifact import grading
     pages.clear_cache()
     pages._grid(6, 100)
-    assert not grading._IMAGES and not grading._SHARED
+    assert not grading._IMAGES and not grading._BUMPS
     pages.clear_cache()
 
 
