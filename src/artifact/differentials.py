@@ -138,10 +138,10 @@ def d0(d, el):
     if not el.piece.euler:
         return {}
     # s_hom is a ring map that commutes with restrict (both send the
-    # out-of-range variables to 0), so one image in the smallest ring
-    # holding every fold stratum's variables restricts to the image in
-    # each target's own variables
-    vs = VariableSet(d // 2, d + 1)
+    # out-of-range variables to 0), so one image in P(d, d) restricts to
+    # the image in each fold stratum's own variables; the even-d sigma
+    # classes are these images in that ring, so both read one kept copy
+    vs = VariableSet(d, d)
     return restriction_expansion(d, d // 2, s_hom((el.mono[0], ()), vs), vs)
 
 

@@ -265,10 +265,8 @@ class Series:
 
     __slots__ = ("c", "D")
 
-    def __init__(self, coeffs, D=None):
+    def __init__(self, coeffs, D):
         coeffs = list(coeffs)
-        if D is None:
-            D = len(coeffs) - 1
         if D < 0:
             raise ValueError("max degree %d is below 0" % D)
         coeffs = coeffs[: D + 1] + [0] * (D + 1 - len(coeffs))

@@ -29,12 +29,10 @@ from math import gcd
 def _reduce(row):
     g = 0
     for v in row.values():
-        g = gcd(g, abs(v))
+        g = gcd(g, v)
         if g == 1:
             return row
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+    return {c: v // g for c, v in row.items()}
 
 
 def rank(rows):

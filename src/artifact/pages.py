@@ -427,9 +427,9 @@ def generator_classes(d, D):
     Every tau and sigma class is a polynomial restricted down the fold
     staircase (restriction_expansion).  tau classes, one family per
     a_top of the parity of d + 1, restrict a multiple of the top primed
-    variable of P(a_top, d+1-a_top).  For even d the sigma classes are
-    the d0-images of the Euler part of column 0 (their defining
-    polynomial is the Whitney image in the square variable set).  For
+    variable of P(a_top, d+1-a_top).  For even d the sigma class of m is
+    d0(e.m): its defining polynomial is s_hom(m) in P(d, d), the same
+    kept image d0 restricts, so each image is built once.  For
     odd d the sigma classes restrict a skew polynomial from the top fold
     stratum, and the Euler part of the fold column, which d_fold kills
     and nothing maps into, gives the I classes (I_top at a = b).  One

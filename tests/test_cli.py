@@ -304,10 +304,15 @@ def test_verify_json_rows_are_the_library_entries(capsys):
         for name, ok, detail in entries]
 
 
-def test_bad_space_is_usage_error(capsys):
-    code, out = run_cli(capsys, "series", "--space", "q:1,2",
-                        "--max-degree", "8")
+@pytest.mark.parametrize("space", ["q:1,2", "p1,2", "b:0", "p:-1,2", "p:1"])
+def test_bad_space_is_usage_error(capsys, space):
+    # no colon, an unknown kind, a dimension below 1, a negative rank and a
+    # missing rank all exit 2 with a message naming the fault
+    code = main(["series", "--space", space, "--max-degree", "8"])
     assert code == 2
+    want = ("space must look like p:a,b" if ":" not in space
+            else "bad space %r" % space)
+    assert want in capsys.readouterr().err
 
 
 def test_bad_r_is_usage_error(capsys):
@@ -346,6 +351,7 @@ def test_a_one_verb_parser_prints_what_the_full_parser_prints():
     ["verify", "--dim", "0"],
     ["generators", "--dim", "0"],
     ["loopspace", "--dim", "6", "--offset", "-5"],
+    ["e2", "--dim", "4", "--max-degree", "x"],
 ])
 def test_out_of_range_is_usage_error(capsys, argv):
     # argparse rejects the range checks; the offset is checked by the

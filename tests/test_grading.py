@@ -434,7 +434,7 @@ class TestSeries:
         # mismatched truncations and negative shifts must fail under -O
         code = (
             "from artifact.grading import Series\n"
-            "a, b = Series([1, 2, 3, 4]), Series([5, 6])\n"
+            "a, b = Series([1, 2, 3, 4], 3), Series([5, 6], 1)\n"
             "for name, f in [('add', lambda: a + b), ('sub', lambda: a - b),\n"
             "                ('first_mismatch', lambda: b.first_mismatch(a)),\n"
             "                ('tshift', lambda: a.tshift(-1))]:\n"

@@ -354,6 +354,21 @@ def test_expansion_rebuilds_the_eager_classes():
                     ("i", 1), ("i_top", 1)}
 
 
+def test_even_sigma_classes_are_the_d0_images_of_the_euler_part():
+    # at even d the sigma class of m is d0(e.m): per degree n the sigma
+    # expansions are d0's images of column 0's Euler elements in degree
+    # n - 1, in the same order
+    for d in range(2, 13, 2):
+        sigmas = {}
+        for cl in generator_classes(d, 40):
+            if cl.kind == "sigma":
+                sigmas.setdefault(cl.degree, []).append(cl.expansion(d))
+        for n in range(41):
+            want = [d0(d, el) for el in build_basis(d, 0, n - 1) if el.piece.euler]
+            assert sigmas.get(n, []) == want, (d, n)
+        assert sigmas, d
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 9, 11, 13])
 def test_odd_generator_counts_match_closed_form(d):
     # tau, sigma, I and I_top together are the closed form minus column 0
@@ -645,6 +660,19 @@ def test_one_term_images_share_no_monomial():
     pages.clear_cache()
     pages._grid(6, 100)
     assert not grading._IMAGES and not grading._BUMPS
+    pages.clear_cache()
+
+
+@pytest.mark.parametrize("d", [6, 8, 12])
+def test_d0_and_the_sigma_classes_keep_images_in_one_ring(d):
+    # d0 builds its images in P(d, d), the ring of the even-d sigma
+    # classes, so verify's three checks on one reader keep one image table
+    from artifact import grading
+    pages.clear_cache()
+    maps = pages.assemble_columns(d, 30)
+    for check in (chain_check, collapse_check, verify_generators):
+        check(d, 30, maps=maps)
+    assert set(grading._IMAGES) == {VariableSet(d, d)}
     pages.clear_cache()
 
 
