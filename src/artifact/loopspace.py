@@ -3,8 +3,10 @@
 Rationally, the cohomology of the infinite loop space on a spectrum is
 the free graded-commutative algebra on the spectrum's positive-degree
 cohomology: polynomial on even generators, exterior on odd ones.  The
-generator counts come straight from the second-page ranks, so the
-Poincare series of the whole characteristic-class algebra is
+generator counts are the second page's total ranks, read off the page
+pages keeps per truncation, so an e2 request and its loop-space twin
+walk the cells once.  The Poincare series of the whole
+characteristic-class algebra is
 
     prod_{n even} (1 - t^n)^{-g_n} * prod_{n odd} (1 + t^n)^{g_n},
 
@@ -31,9 +33,7 @@ def loopspace_series(d, R, D, offset=0):
     ValueError if the offset moves a generator below degree 1.
     """
     top = max(1, D - offset)
-    total = [0] * (top + 1)
-    for c in _e2_cells(d, R, top):
-        total[c[1]] += c[-1]
+    total = _e2_cells(d, R, top)[2]  # the kept page's totals, through top at least
     gens = {}
     for n in range(1, top + 1):
         g = total[n]

@@ -24,14 +24,20 @@ up to D.  The rules read a level >= 2 only mod 4 and column k's Thom
 class sits in degree d + k, so column k in degree n is column k - 4 in
 degree n - 4: the grid keeps columns 0..5 alone, and _column reads a
 column k >= 6 as column 2 + (k - 2) % 4, k - that degrees lower.  The
-grid grows in D and certifies only the new degrees: column 0 by d0's
-sub-block in each new degree, column 1 by assembling one guard cell per
-build or growth, the lowest new fold cell, which is all a growth
-applies the differential to.  verify's three checks all take (d, D) and
-share one reader, assemble_columns(d, D), which assembles a matrix on
-its first read and keeps it, so a check builds only the cells it reads,
-and builds each (column, degree) basis once for the two matrices that
-use it.
+grid grows in D by the new degrees alone: it appends their column sizes,
+read off the pieces' series, and their counted ranks to the kept lists,
+and certifies them, column 0 by d0's sub-block in each new degree,
+column 1 by assembling one guard cell per build or growth, the lowest
+new fold cell, which is all a growth applies the differential to.
+With the grid each d keeps one page per truncation, the nonzero cells
+and total ranks _e2_cells walked, degree by degree.  A cell reads no
+degree above its own, so e2_ranks answers a smaller D from a page's
+prefix, and a larger D walks the new degrees alone into a new page;
+loopspace_series reads the same totals.  verify's three checks all
+take (d, D) and share one reader, assemble_columns(d, D), which
+assembles a matrix on its first read and keeps it, so a check builds
+only the cells it reads, and builds each (column, degree) basis once for
+the two matrices that use it.
 With K = max(1, D - d), chain_check multiplies consecutive matrices out
 of columns 0..min(5, K - 1), collapse_check ranks the counted cells of
 columns 1..min(5, K) and verify_generators reads d0's images and the
@@ -55,6 +61,7 @@ how often the same work is done.
 
 from collections import defaultdict, namedtuple
 from functools import cache, partial
+from itertools import islice
 
 from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
@@ -63,7 +70,7 @@ from .grading import (
     _IMAGES, _BUMPS, _TEXT, _exponent_tuples,
 )
 from .strata import Stratum, enumerate_strata, column_content, _variables
-from .e1 import BasisElement, IndexedBasis, column_series
+from .e1 import BasisElement, IndexedBasis
 from .differentials import (
     differential, assemble_matrix, restriction_expansion, element_terms,
     _piece_for, LinearMap, _BASES,
@@ -83,8 +90,9 @@ def _norm_R(R):
     return Rn
 
 
-# rank grid cache: d -> (D, sizes, ranks, blocks); sizes[k] and ranks[k]
-# list the cells of column k = 0..5 by degree, blocks are _block_ranks'
+# rank grid cache: d -> (D, sizes, ranks, blocks, pages); sizes[k] and
+# ranks[k] list the cells of column k = 0..5 by degree, blocks are
+# _block_ranks', pages map a normalised truncation to _e2_cells' page
 _GRID = {}
 
 
@@ -157,16 +165,17 @@ def _orbit_count(t, D):
     return count.tshift(4 * (i + j)).c
 
 
-def _counted_ranks(blocks, columns, D):
-    """{k: ranks of the differential out of column k in every degree <= D}:
-    each of _block_ranks' blocks times the count of its orbit type."""
+def _counted_ranks(blocks, columns, D, lo=0):
+    """{k: ranks of the differential out of column k in degrees lo..D,
+    zero below lo}: each of _block_ranks' blocks times the count of its
+    orbit type."""
     counts = {}
     total = {k: [0] * (D + 1) for k in columns}
     for k, offset, t, r in blocks:
         if t not in counts:
             counts[t] = _orbit_count(t, D)
         col, count = total[k], counts[t]
-        for n in range(offset, D + 1):
+        for n in range(max(offset, lo), D + 1):
             col[n] += r * count[n - offset]
     return {k: Series(col, D) for k, col in total.items()}
 
@@ -175,7 +184,7 @@ def _grid(d, D):
     entry = _GRID.get(d)
     if entry and entry[0] >= D:
         return entry
-    D0, blocks = (entry[0], entry[3]) if entry else (-1, None)
+    D0, sizes, ranks, blocks, kept = entry or (-1, [[]] * 6, [[]] * 6, None, {})
     # d0 kills the plain part of column 0, so its rank is at most the Euler
     # count; its rows on the fold stratum (0, d + 1) reach it (p_i -> p'_i)
     [s], t = enumerate_strata(d, 0), Stratum(1, 0, d + 1)  # rejects d < 1
@@ -193,17 +202,27 @@ def _grid(d, D):
                  for m, c in s_hom(el.mono, t.vars).items()} for el in src]
         if LinearMap(src, tgt, cols).rank() != euler[n]:
             raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
-    # a growth keeps the block ranks and sums them again up to the new D
+    # a growth keeps the block ranks and appends the new degrees alone: the
+    # counts of those degrees, and the sizes read off the pieces' series
     if blocks is None:
         blocks = _block_ranks(d, range(1, 6))
-    counted = {0: euler, **_counted_ranks(blocks, range(1, 6), D)}
-    sizes = [column_series(d, k, D).c for k in range(6)]
-    ranks = [counted[k].c for k in range(6)]
+    counted = {0: euler, **_counted_ranks(blocks, range(1, 6), D, D0 + 1)}
+    ranks = [ranks[k] + counted[k].c[D0 + 1:] for k in range(6)]
+    grown = []
+    for k in range(6):
+        col = [0] * (D - D0)
+        for st in enumerate_strata(d, k):
+            for p in column_content(st):
+                ser, shift = space_series(p.space(st), D).c, p.offset(st)
+                for n in range(max(D0 + 1, shift), D + 1):
+                    col[n - D0 - 1] += ser[n - shift]
+        grown.append(sizes[k] + col)
     # a guard per build or growth: the lowest new fold cell with Euler-free elements
     n = max(d + 1, D0 + 1 + (d - D0) % 4)
     if n <= D and assemble_matrix(d, 1, n).rank() != ranks[1][n]:
         raise ArithmeticError("fold count differs from assembly at degree %d" % n)
-    _GRID[d] = entry = (D, sizes, ranks, blocks)
+    # the pages stay: no cell reads a degree above its own
+    _GRID[d] = entry = (D, grown, ranks, blocks, kept)
     return entry
 
 
@@ -241,14 +260,31 @@ class PageReport(namedtuple("PageReport", "d R D cells total closed mismatch")):
 
 
 def _e2_cells(d, R, D):
-    """Yield the fields of a PageCell for every nonzero cell of the
-    R-truncated page in degrees <= D, degree by degree."""
+    """The kept page of the R-truncation, (D', cells, total, ends) with
+    D' >= D: its nonzero cells of degrees <= D' as {(k, n): PageCell} in
+    degree order, the total rank of each degree, and ends[n], the number
+    of cells of degree <= n.
+
+    A cell in degree n reads only columns k <= min(R, n - d): its own size
+    and rank, and the rank of column k - 1 a degree lower.  None of these
+    depends on the max degree, so a kept page answers every smaller D by
+    its prefix, and a larger D walks the new degrees alone into a new page.
+    The new page is swapped in once the walk finishes: a page handed out
+    is never mutated, and a walk the e2 >= 0 guard stops keeps the old one.
+    """
     Rn = _norm_R(R)
     grid = _grid(d, D)
+    if D < 0:
+        raise ValueError("max degree %d is below 0" % D)
+    page = grid[4].get(Rn)
+    if page and page[0] >= D:
+        return page
+    D0, cells, total, ends = page or (-1, {}, [], [])
+    cells, total, ends = dict(cells), total + [0] * (D - D0), ends[:]
     K = max(1, D - d)
     kmax = K if Rn is None else min(Rn, K)
     cols = [_column(grid, k) for k in range(kmax + 1)]
-    for n in range(D + 1):
+    for n in range(D0 + 1, D + 1):
         # column k >= 1 starts at its Thom degree d + k, so no read of
         # column k, or of column k - 1 a degree lower, falls below degree 0
         for k in range(min(kmax, max(n - d, 0)) + 1):
@@ -267,16 +303,21 @@ def _e2_cells(d, R, D):
             if e2 < 0:
                 raise ArithmeticError(
                     "image exceeds kernel at column %d degree %d" % (k, n))
-            yield k, n, size, out_rank, ker, im_in, e2
+            cells[k, n] = PageCell(k, n, size, out_rank, ker, im_in, e2)
+            total[n] += e2
+        ends.append(len(cells))
+    grid[4][Rn] = page = (D, cells, total, ends)
+    return page
 
 
 def e2_ranks(d, R, D):
-    """Second-page ranks of the R-truncated sequence, all degrees <= D."""
-    cells = {}
-    total = [0] * (D + 1)
-    for c in _e2_cells(d, R, D):
-        cells[c[:2]] = PageCell._make(c)
-        total[c[1]] += c[-1]
+    """Second-page ranks of the R-truncated sequence, all degrees <= D.
+
+    The report's cells dict may be the kept page's own: read it, never
+    mutate it."""
+    Dp, cells, total, ends = _e2_cells(d, R, D)
+    if D < Dp:
+        cells = dict(islice(cells.items(), ends[D]))
     total = Series(total, D)
     closed = closed_form(d, R, D)
     return PageReport(d, R, D, cells, total, closed, total.first_mismatch(closed))
@@ -518,7 +559,7 @@ def verify_generators(d, D, *, maps=None):
     assemble_columns(d, D).
     """
     maps = _reader(d, D, maps)
-    _, sizes, ranks, _ = _grid(d, D)
+    _, sizes, ranks, _, _ = _grid(d, D)
     classes = generator_classes(d, D)
     at = 0  # the classes come in ascending degree: each degree's are one run
     bad_kernel = 0
@@ -579,7 +620,7 @@ def collapse_check(d, D, *, maps=None):
     maps defaults to assemble_columns(d, D).
     """
     maps = _reader(d, D, maps)
-    _, sizes, ranks, _ = _grid(d, D)
+    _, sizes, ranks, _, _ = _grid(d, D)
     # column 2 reads its images from the assembled column 1, so a
     # miscounted column 1 fails only its own entry
     fold = [maps(1, n).rank() for n in range(D + 1)]

@@ -179,7 +179,7 @@ def test_counted_column_0_matches_assembly_at_larger_sizes(d, D):
     # the d0 cells are the largest the grid used to assemble; the Euler
     # count must equal their rank well beyond D = 40
     pages.clear_cache()
-    _, sizes, ranks, _ = pages._grid(d, D)
+    _, sizes, ranks, _, _ = pages._grid(d, D)
     pages.clear_cache()
     for n in range(D + 1):
         A = assemble_matrix(d, 0, n)
@@ -193,7 +193,7 @@ def test_counted_columns_1_to_5_match_assembly_at_larger_sizes(d, D):
     # counted them, and columns 2..5 are the ones every later column is
     # read from; the block-type count must equal their rank well beyond D = 40
     pages.clear_cache()
-    _, sizes, ranks, _ = pages._grid(d, D)
+    _, sizes, ranks, _, _ = pages._grid(d, D)
     pages.clear_cache()
     for k in range(1, 6):
         for n in range(D + 1):

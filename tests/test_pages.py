@@ -181,8 +181,8 @@ def test_collapse_check_catches_a_wrong_count(monkeypatch):
     # assembles the cells it checks, so a count off by one fails there
     real = pages._counted_ranks
 
-    def off_by_one(blocks, columns, D):
-        ranks = real(blocks, columns, D)
+    def off_by_one(*args):
+        ranks = real(*args)
         ranks[3].c[15] += 1
         return ranks
 
@@ -210,8 +210,8 @@ def test_collapse_check_catches_a_wrong_fold_count(monkeypatch):
     # by one fails only the fold entry, naming the degree
     real = pages._counted_ranks
 
-    def off_by_one(blocks, columns, D):
-        ranks = real(blocks, columns, D)
+    def off_by_one(*args):
+        ranks = real(*args)
         ranks[1].c[13] += 1
         return ranks
 
@@ -436,8 +436,8 @@ def test_negative_e2_raises_under_O():
     code = (
         "from artifact import pages, loopspace\n"
         "real = pages._counted_ranks\n"
-        "def over(blocks, columns, D):\n"
-        "    ranks = real(blocks, columns, D)\n"
+        "def over(*args):\n"
+        "    ranks = real(*args)\n"
         "    ranks[1].c[9] += 2\n"
         "    return ranks\n"
         "pages._counted_ranks = over\n"
@@ -489,19 +489,41 @@ def _snapshot(rep):
 
 @given(st.integers(3, 6),
        st.lists(st.integers(6, 30), min_size=2, max_size=4, unique=True),
-       st.sampled_from([1, 2, 3, "inf"]))
+       st.lists(st.sampled_from([1, 2, 3, "inf"]), min_size=2, max_size=3, unique=True))
 @settings(max_examples=20, deadline=None)
-def test_grown_grid_matches_cold_grid(d, degrees, R):
+def test_grown_grid_matches_cold_grid(d, degrees, truncations):
+    # one warm session asks e2 and then loopspace for every truncation at
+    # each D, the degrees there and back, so smaller D follow larger ones;
+    # every answer equals the cold one
     pages.clear_cache()
-    warm = [_snapshot(e2_ranks(d, R, D)) for D in degrees]
-    for D, got in zip(degrees, warm):
+    session = [(D, R) for D in degrees + degrees[::-1] for R in truncations]
+    warm = [(_snapshot(e2_ranks(d, R, D)), loopspace_series(d, R, D)) for D, R in session]
+    cold = {}
+    for D, R in session:
         pages.clear_cache()
-        assert _snapshot(e2_ranks(d, R, D)) == got
+        cold[D, R] = (_snapshot(e2_ranks(d, R, D)), loopspace_series(d, R, D))
+    pages.clear_cache()
+    assert warm == [cold[key] for key in session]
     # truncation consistency: a smaller D gives a prefix of the series
     top = max(degrees)
-    longest = warm[degrees.index(top)][1]
-    for D, (_, total) in zip(degrees, warm):
-        assert total == longest[:D + 1]
+    for R in truncations:
+        longest = cold[top, R][0][1]
+        for D in degrees:
+            assert cold[D, R][0][1] == longest[:D + 1]
+
+
+def test_a_handed_out_report_stays_put():
+    # a growth builds a new page and swaps it in, so a report handed out
+    # keeps its cells and total while later requests grow the grid and the
+    # page of its truncation
+    pages.clear_cache()
+    rep = e2_ranks(6, 2, 30)
+    cells, total = dict(rep.cells), list(rep.total.c)
+    e2_ranks(6, 2, 60)
+    loopspace_series(6, 2, 60)
+    pages.clear_cache()
+    assert rep.cells == cells and rep.total.c == total
+    assert max(n for _, n in rep.cells) <= 30
 
 
 @pytest.mark.parametrize("d", range(1, 17))
@@ -610,8 +632,8 @@ def test_a_miscounted_fold_cell_in_a_growth_fails_the_guard(monkeypatch):
     pages._grid(4, 22)
     real = pages._counted_ranks
 
-    def counted(blocks, columns, D):
-        ranks = real(blocks, columns, D)
+    def counted(*args):
+        ranks = real(*args)
         ranks[1].c[25] += 1
         return ranks
 
@@ -883,7 +905,7 @@ def test_dimension_and_level_are_rejected_under_O():
 def test_grid_has_no_cell_below_the_thom_degree(d):
     # e2_ranks reads column k >= 1 only from degree d + k on, and the
     # grid holds columns 0..5 alone
-    _, sizes, ranks, _ = pages._grid(d, 70)
+    _, sizes, ranks, _, _ = pages._grid(d, 70)
     assert len(sizes) == len(ranks) == 6
     assert not [(k, n) for k in range(1, 6) for n in range(min(d + k, 71))
                 if sizes[k][n] or ranks[k][n]]
