@@ -47,10 +47,9 @@ class IndexedBasis:
     read one, never mutate it.
     """
 
-    __slots__ = ("d", "column", "degree", "elements", "index", "__weakref__")
+    __slots__ = ("column", "degree", "elements", "index", "__weakref__")
 
-    def __init__(self, d, column, degree, elements):
-        self.d = d
+    def __init__(self, column, degree, elements):
         self.column = column
         self.degree = degree
         self.elements = elements
@@ -72,10 +71,6 @@ class IndexedBasis:
                                   % (el, self.column, self.degree))
         return i
 
-    def __repr__(self):
-        return "IndexedBasis(d=%d, k=%d, n=%d, size=%d)" % (
-            self.d, self.column, self.degree, len(self.elements))
-
 
 def build_basis(d, k, n):
     """The ordered basis of column k in total degree n."""
@@ -84,7 +79,7 @@ def build_basis(d, k, n):
         for piece in column_content(s):
             for m in orbit_reps(piece.space(s), n - piece.offset(s)):
                 elements.append(BasisElement(s, piece, m))
-    return IndexedBasis(d, k, n, elements)
+    return IndexedBasis(k, n, elements)
 
 
 def column_series(d, k, D):

@@ -7,9 +7,10 @@ a column k below the truncation the second-page rank at total degree n is
     e2(k, n) = dim E1(k, n) - rank d(k, n) - rank d(k-1, n-1),
 
 while the top column of a finite truncation keeps its whole kernel.
-Summing over columns gives the total cohomology rank series, which is
-compared coefficient by coefficient against the closed-form series
-encoded per residue of d.
+Summing over columns gives the total cohomology rank series; a report
+compares it coefficient by coefficient against the closed-form series
+encoded per residue of d when its verdict is read, so a request that
+reads only ranks builds no closed form.
 
 The grid counts every rank.  Column 0's is its Euler count, certified by
 d0's rows on the fold stratum (0, d + 1), where s_hom sends p_i to p'_i
@@ -193,10 +194,10 @@ def _grid(d, D):
     euler = space_series(piece.space(s), D).tshift(off) if piece else Series.zero(D)
     tpiece = _piece_for(t, False)
     for n in range(D0 + 1, D + 1) if piece else ():
-        src = IndexedBasis(d, 0, n, [BasisElement(s, piece, m)
-                                     for m in orbit_reps(piece.space(s), n - off)])
-        tgt = IndexedBasis(d, 1, n + 1, [BasisElement(t, tpiece, m)
-                                         for m in enumerate_monomials(t.vars, n - off)])
+        src = IndexedBasis(0, n, [BasisElement(s, piece, m)
+                                  for m in orbit_reps(piece.space(s), n - off)])
+        tgt = IndexedBasis(1, n + 1, [BasisElement(t, tpiece, m)
+                                      for m in enumerate_monomials(t.vars, n - off)])
         # on t (a = 0: sign +1, full piece, no restriction) d0 is s_hom itself
         cols = [{tgt.position(BasisElement(t, tpiece, m)): c
                  for m, c in s_hom(el.mono, t.vars).items()} for el in src]
@@ -234,20 +235,19 @@ def _column(grid, k):
     return grid[1][kk], grid[2][kk], k - kk
 
 
-class PageCell(namedtuple("PageCell", "column degree e1_rank d_rank kernel_rank "
-                                      "image_rank_from_left e2_rank")):
-    __slots__ = ()
-
-    def __repr__(self):
-        return "PageCell(k=%d, n=%d, e1=%d, ker=%d, im=%d, e2=%d)" % (
-            self.column, self.degree, self.e1_rank,
-            self.kernel_rank, self.image_rank_from_left, self.e2_rank)
+PageCell = namedtuple("PageCell", "e1_rank kernel_rank image_rank_from_left e2_rank")
 
 
-class PageReport(namedtuple("PageReport", "d R D cells total closed mismatch")):
-    """Everything e2_ranks computed for one (d, R, D)."""
+class PageReport(namedtuple("PageReport", "d R D cells total")):
+    """What e2_ranks computed for one (d, R, D).  Each read of mismatch (the
+    first degree where total differs from closed_form(d, R, D), or None)
+    or ok builds the closed form."""
 
     __slots__ = ()
+
+    @property
+    def mismatch(self):
+        return self.total.first_mismatch(closed_form(self.d, self.R, self.D))
 
     @property
     def ok(self):
@@ -303,7 +303,7 @@ def _e2_cells(d, R, D):
             if e2 < 0:
                 raise ArithmeticError(
                     "image exceeds kernel at column %d degree %d" % (k, n))
-            cells[k, n] = PageCell(k, n, size, out_rank, ker, im_in, e2)
+            cells[k, n] = PageCell(size, ker, im_in, e2)
             total[n] += e2
         ends.append(len(cells))
     grid[4][Rn] = page = (D, cells, total, ends)
@@ -311,16 +311,15 @@ def _e2_cells(d, R, D):
 
 
 def e2_ranks(d, R, D):
-    """Second-page ranks of the R-truncated sequence, all degrees <= D.
+    """Second-page ranks of the R-truncated sequence, all degrees <= D; the
+    report builds the closed form only when its mismatch or ok is read.
 
     The report's cells dict may be the kept page's own: read it, never
     mutate it."""
     Dp, cells, total, ends = _e2_cells(d, R, D)
     if D < Dp:
         cells = dict(islice(cells.items(), ends[D]))
-    total = Series(total, D)
-    closed = closed_form(d, R, D)
-    return PageReport(d, R, D, cells, total, closed, total.first_mismatch(closed))
+    return PageReport(d, R, D, cells, Series(total, D))
 
 
 def _P(a, b, D):

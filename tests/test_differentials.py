@@ -312,7 +312,7 @@ def test_argument_checks_and_guards_survive_O():
         "        (ArithmeticError, lambda: d_odd_col(6, el(3, 3, 3, False))),\n"
         "        (ArithmeticError, lambda: d_odd_col(6, el(5, 3, 3, True))),\n"
         "        (ArithmeticError, lambda: group_closure(flips)),\n"
-        "        (ArithmeticError, lambda: IndexedBasis(6, 1, 7, [fold, fold]))]:\n"
+        "        (ArithmeticError, lambda: IndexedBasis(1, 7, [fold, fold]))]:\n"
         "    try:\n"
         "        f()\n"
         "    except exc as e:\n"

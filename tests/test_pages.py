@@ -23,8 +23,8 @@ from artifact.grading import (
 )
 from artifact.loopspace import loopspace_series
 from artifact.pages import (
-    e2_ranks, closed_form, closed_form_notes, generator_classes,
-    verify_generators, chain_check, collapse_check, PageReport, CheckReport,
+    e2_ranks, closed_form, closed_form_notes, generator_classes, verify_generators,
+    chain_check, collapse_check, PageCell, PageReport, CheckReport,
 )
 from artifact.strata import Stratum, enumerate_strata, column_content
 
@@ -78,7 +78,6 @@ def test_top_column_keeps_whole_kernel():
     rep = e2_ranks(4, 2, 14)
     for (k, n), cell in rep.cells.items():
         if k == 2:
-            assert cell.d_rank == 0
             assert cell.kernel_rank == cell.e1_rank
 
 
@@ -87,7 +86,6 @@ def test_top_column_keeps_whole_kernel():
 def test_closed_forms_match(d, R):
     D = 24 if d >= 6 else 20
     rep = e2_ranks(d, R, D)
-    assert rep.closed is not None
     assert rep.mismatch is None, \
         "first mismatch at degree %s" % rep.mismatch
 
@@ -145,7 +143,30 @@ def test_d8_extra_fold_classes():
 
 def test_closed_form_standalone_agrees_with_report():
     rep = e2_ranks(3, 4, 18)
-    assert closed_form(3, 4, 18) == rep.closed
+    assert rep.mismatch == closed_form(3, 4, 18).first_mismatch(rep.total)
+
+
+def test_closed_form_is_built_when_the_verdict_is_read(monkeypatch):
+    # a report holds the ranks alone: e2_ranks builds no closed form, and
+    # each read of the verdict builds one
+    assert PageCell._fields == ("e1_rank", "kernel_rank", "image_rank_from_left",
+                                "e2_rank")
+    assert PageReport._fields == ("d", "R", "D", "cells", "total")
+    real, calls = pages.closed_form, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pages, "closed_form", counted)
+    pages.clear_cache()
+    rep = e2_ranks(6, 2, 40)
+    assert calls == []
+    assert rep.mismatch == real(6, 2, 40).first_mismatch(rep.total)
+    assert calls == [(6, 2, 40)]
+    raised = rep.total.c[:]
+    raised[17] += 1
+    assert rep._replace(total=Series(raised, 40)).mismatch == 17
 
 
 @pytest.mark.parametrize("d", [4, 5, 6])
@@ -410,10 +431,14 @@ def test_e2_never_negative(d, D, R):
 def test_report_reprs_are_pinned():
     rep = e2_ranks(6, "inf", 30)
     assert repr(rep) == "PageReport(d=6, R=inf, D=30, ok)"
-    assert repr(rep.cells[(1, 15)]) == "PageCell(k=1, n=15, e1=12, ker=3, im=2, e2=1)"
-    assert rep.cells[(1, 15)].d_rank == 9
-    z = Series.zero(20)
-    assert repr(PageReport(4, 2, 20, {}, z, z, 9)) == \
+    cell = rep.cells[(1, 15)]
+    assert repr(cell) == \
+        "PageCell(e1_rank=12, kernel_rank=3, image_rank_from_left=2, e2_rank=1)"
+    assert cell.e1_rank - cell.kernel_rank == 9
+    rep = e2_ranks(4, 2, 20)
+    raised = rep.total.c[:]
+    raised[9] += 1
+    assert repr(rep._replace(total=Series(raised, 20))) == \
         "PageReport(d=4, R=2, D=20, mismatch at 9)"
     check = CheckReport("demo", [("a holds", True, ""), ("b holds", False, "degree 3")])
     assert repr(check) == "demo\n  ok   a holds\n  FAIL b holds (degree 3)"
@@ -481,8 +506,7 @@ def test_short_d0_sub_block_raises_under_O():
 
 
 def _snapshot(rep):
-    cells = {key: (c.e1_rank, c.d_rank, c.kernel_rank,
-                   c.image_rank_from_left, c.e2_rank)
+    cells = {key: (c.e1_rank, c.kernel_rank, c.image_rank_from_left, c.e2_rank)
              for key, c in rep.cells.items()}
     return cells, rep.total.c
 
@@ -924,7 +948,7 @@ def _rectangle_cells(d, R, D):
             if size:
                 out_rank = 0 if k == Rn else ranks.get((k, n), 0)
                 im_in = ranks.get((k - 1, n - 1), 0)
-                cells.append((k, n, size, out_rank, size - out_rank, im_in,
+                cells.append((k, n, size, size - out_rank, im_in,
                               size - out_rank - im_in))
     return cells
 
@@ -932,5 +956,5 @@ def _rectangle_cells(d, R, D):
 @pytest.mark.parametrize("d, R, D", [(1, "inf", 30), (4, 2, 40), (6, 1, 60),
                                      (6, "inf", 100), (9, 3, 50), (12, 4, 70)])
 def test_e2_cells_match_the_full_rectangle(d, R, D):
-    assert [tuple(c) for c in e2_ranks(d, R, D).cells.values()] == \
+    assert [(k, n) + tuple(c) for (k, n), c in e2_ranks(d, R, D).cells.items()] == \
         _rectangle_cells(d, R, D)

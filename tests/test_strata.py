@@ -186,7 +186,7 @@ def test_value_constructor_guards(build):
     ContentPiece(True, SYM),
     BasisElement(Stratum(1, 2, 3), ContentPiece(False, FULL), ((1,), (0,))),
     ActionGen(True, -1, 1, 1, -1, 1),
-    PageCell(1, 15, 12, 9, 3, 2, 1),
+    PageCell(12, 3, 2, 1),
     CheckReport("demo", [("a holds", True, ""), ("b holds", False, "degree 3")]),
 ])
 def test_values_survive_copy_and_pickle(value):
