@@ -10,8 +10,13 @@ for m - swap(m)).  This normalization keeps every differential matrix
 entry an integer.  A basis element is a value, the named tuple
 (stratum, piece, monomial), and compares and hashes by those fields.
 
-Bases are deterministically ordered by stratum, then piece (Euler-free
-first), then monomial.
+A basis is a list of blocks, one per (stratum, piece) with monomials
+in that degree: the block (stratum, piece, monomials) lists the
+piece's representatives in enumerate_monomials' order, and the blocks
+come by stratum, then piece (Euler-free first).  The basis builds no
+basis element to list them; iterating it makes each on the way.  A
+block's {monomial: position} table is built on its first lookup, so a
+basis that only serves as a matrix source hashes none of its monomials.
 """
 
 from collections import namedtuple
@@ -41,45 +46,75 @@ class BasisElement(namedtuple("BasisElement", "stratum piece mono")):
 
 
 class IndexedBasis:
-    """Ordered basis of one (column, degree) spot with an index lookup.
+    """Ordered basis of one (column, degree) spot: its blocks, with a
+    position table per block.
 
     Assembled matrices share their bases (differentials.assemble_matrix):
     read one, never mutate it.
     """
 
-    __slots__ = ("column", "degree", "elements", "index", "__weakref__")
+    __slots__ = ("column", "degree", "blocks", "_tables", "__weakref__")
 
-    def __init__(self, column, degree, elements):
+    def __init__(self, column, degree, blocks):
         self.column = column
         self.degree = degree
-        self.elements = elements
-        self.index = {el: i for i, el in enumerate(elements)}
-        if len(self.index) != len(elements):
-            raise ArithmeticError("basis (%d, %d) lists an element twice"
-                                  % (column, degree))
+        self.blocks = blocks
+        self._tables = {}
 
     def __len__(self):
-        return len(self.elements)
+        return sum(len(monos) for _, _, monos in self.blocks)
 
     def __iter__(self):
-        return iter(self.elements)
+        for s, piece, monos in self.blocks:
+            for m in monos:
+                yield BasisElement(s, piece, m)
+
+    def table(self, stratum, piece):
+        """{monomial: position} of the block (stratum, piece), built on the
+        first lookup and kept; looking up a monomial it lacks raises
+        ArithmeticError naming the element, column and degree."""
+        table = self._tables.get((stratum, piece))
+        if table is None:
+            table = self._tables[stratum, piece] = _Positions(self, stratum, piece)
+        return table
 
     def position(self, el):
-        i = self.index.get(el)
-        if i is None:
-            raise ArithmeticError("%r is not in the basis of column %d degree %d"
-                                  % (el, self.column, self.degree))
-        return i
+        return self.table(el.stratum, el.piece)[el.mono]
+
+
+class _Positions(dict):
+    """One block's {monomial: position}; empty for a piece with no block."""
+
+    __slots__ = ("where",)
+
+    def __init__(self, basis, stratum, piece):
+        start, monos = 0, ()
+        for s, p, ms in basis.blocks:
+            if s == stratum and p == piece:
+                monos = ms
+                break
+            start += len(ms)
+        super().__init__(zip(monos, range(start, start + len(monos))))
+        if len(self) != len(monos):
+            raise ArithmeticError("basis (%d, %d) lists an element twice"
+                                  % (basis.column, basis.degree))
+        self.where = (stratum, piece, basis.column, basis.degree)
+
+    def __missing__(self, m):
+        s, piece, column, degree = self.where
+        raise ArithmeticError("%r is not in the basis of column %d degree %d"
+                              % (BasisElement(s, piece, m), column, degree))
 
 
 def build_basis(d, k, n):
     """The ordered basis of column k in total degree n."""
-    elements = []
+    blocks = []
     for s in enumerate_strata(d, k):
         for piece in column_content(s):
-            for m in orbit_reps(piece.space(s), n - piece.offset(s)):
-                elements.append(BasisElement(s, piece, m))
-    return IndexedBasis(k, n, elements)
+            monos = orbit_reps(piece.space(s), n - piece.offset(s))
+            if monos:
+                blocks.append((s, piece, monos))
+    return IndexedBasis(k, n, blocks)
 
 
 def column_series(d, k, D):

@@ -174,6 +174,21 @@ def restrict_terms(terms, va, to):
             if es[na:] == cut_a and fs[nb:] == cut_b}
 
 
+def restriction(va, to):
+    """restrict_terms' map of one monomial: m in the variables va to its
+    copy in the set to, or None when m uses a variable missing from to."""
+    na, nb = to.na, to.nb
+    cut_a, cut_b = (0,) * (va.na - na), (0,) * (va.nb - nb)
+    pad_a, pad_b = (0,) * (na - va.na), (0,) * (nb - va.nb)
+
+    def move(m):
+        es, fs = m
+        if es[na:] == cut_a and fs[nb:] == cut_b:
+            return es[:na] + pad_a, fs[:nb] + pad_b
+        return None
+    return move
+
+
 class _Filled(dict):
     """A dict that fills a missing key k with fill(k) and keeps it."""
 

@@ -13,13 +13,16 @@ characteristic-class algebra is
 which grading.free_gca_series expands, as it does every ring series.
 With thousands of generators it takes the log-derivative recurrence,
 O((D/q)^2) products for q the gcd of the degrees, not a pass per unit.
+A generator above degree D changes no coefficient up to D, so the page
+also keeps, per offset, the series at the largest D expanded: a smaller
+D reads its prefix, and a larger D is expanded and kept in its place.
 
 The column-0 survivors form the subalgebra of ordinary bundle classes;
 mmm_subseries returns its rank series, which is independent of the
 truncation order.
 """
 
-from .grading import FlavoredSpace, space_series, free_gca_series
+from .grading import FlavoredSpace, Series, space_series, free_gca_series
 from .strata import enumerate_strata
 from .pages import _e2_cells
 
@@ -33,17 +36,22 @@ def loopspace_series(d, R, D, offset=0):
     ValueError if the offset moves a generator below degree 1.
     """
     top = max(1, D - offset)
-    total = _e2_cells(d, R, top)[2]  # the kept page's totals, through top at least
-    gens = {}
-    for n in range(1, top + 1):
-        g = total[n]
-        if g:
-            if n + offset < 1:
-                raise ValueError(
-                    "offset %d moves the degree %d generators to degree %d, "
-                    "below 1" % (offset, n, n + offset))
-            gens[n + offset] = gens.get(n + offset, 0) + g
-    return free_gca_series(gens, D)
+    page = _e2_cells(d, R, top)  # the kept page, through top at least
+    # a generator above D changes no coefficient up to D, so the series
+    # kept for this offset answers every smaller D by its prefix
+    kept = page[4].get(offset)
+    if kept is None or kept.D < D:
+        total, gens = page[2], {}
+        for n in range(1, top + 1):
+            g = total[n]
+            if g:
+                if n + offset < 1:
+                    raise ValueError(
+                        "offset %d moves the degree %d generators to degree %d, "
+                        "below 1" % (offset, n, n + offset))
+                gens[n + offset] = gens.get(n + offset, 0) + g
+        kept = page[4][offset] = free_gca_series(gens, D)
+    return Series(kept.c, D)
 
 
 def mmm_subseries(d, D):

@@ -18,13 +18,16 @@ and keeps no image.  Out of a column k >= 1 the map is a sum of tiny
 blocks, one per swap orbit {m, swap m} of P(d + 1, d + 1), and
 _block_ranks ranks one block per type: the extents (i, j) of m, with
 2(i + j) <= d + 1 (a stratum (a, b) holds p_i p'_j only if 2i <= a and
-2j <= b), and whether swap m = m.  No
-block rank depends on D, so the grid ranks them once per d, keeps those
-of nonzero rank, and _counted_ranks sums them against the orbit counts
-up to D.  The rules read a level >= 2 only mod 4 and column k's Thom
-class sits in degree d + k, so column k in degree n is column k - 4 in
-degree n - 4: the grid keeps columns 0..5 alone, and _column reads a
-column k >= 6 as column 2 + (k - 2) % 4, k - that degrees lower.  The
+2j <= b), and whether swap m = m.  It asks differentials.block_columns,
+the rules assemble_matrix applies, once per (stratum, piece) for the
+monomials of every type, and ranks only nonzero rows, so a piece the
+rule kills builds none.  No block rank depends on D, so the grid ranks
+them once per d, keeps those of nonzero rank, and _counted_ranks sums
+them against the orbit counts up to D.  The rules read a level >= 2
+only mod 4 and column k's Thom class sits in degree d + k, so column k
+in degree n is column k - 4 in degree n - 4: the grid keeps columns
+0..5 alone, and _column reads a column k >= 6 as column
+2 + (k - 2) % 4, k - that degrees lower.  The
 grid grows in D by the new degrees alone: it appends their column sizes,
 read off the pieces' series, and their counted ranks to the kept lists,
 and certifies them, column 0 by d0's sub-block in each new degree,
@@ -34,8 +37,9 @@ With the grid each d keeps one page per truncation, the nonzero cells
 and total ranks _e2_cells walked, degree by degree.  A cell reads no
 degree above its own, so e2_ranks answers a smaller D from a page's
 prefix, and a larger D walks the new degrees alone into a new page;
-loopspace_series reads the same totals.  verify's three checks all
-take (d, D) and share one reader, assemble_columns(d, D), which
+loopspace_series reads the same totals and keeps its series on the
+page, one per offset, a smaller D read as its prefix.  verify's three
+checks all take (d, D) and share one reader, assemble_columns(d, D), which
 assembles a matrix on its first read and keeps it, so a check builds
 only the cells it reads, and builds each (column, degree) basis once for
 the two matrices that use it.
@@ -73,8 +77,8 @@ from .grading import (
 from .strata import Stratum, enumerate_strata, column_content, _variables
 from .e1 import BasisElement, IndexedBasis
 from .differentials import (
-    differential, assemble_matrix, restriction_expansion, element_terms,
-    _piece_for, LinearMap, _BASES,
+    block_columns, assemble_matrix, restriction_expansion, element_terms,
+    _piece_for, _named, LinearMap, _BASES,
 )
 from .linalg import rank
 
@@ -144,9 +148,18 @@ def _block_ranks(d, columns):
             for p in column_content(s):
                 by_offset[p.offset(s)].append((s, p))
         for offset, pairs in by_offset.items():
-            for t, monos in types:
-                r = rank([differential(d, BasisElement(s, p, mono)) for s, p in pairs
-                          for mono in monos[s.vars] if is_orbit_rep(p.flavor, mono)])
+            # the rule runs once per pair over the monomials of every type,
+            # and only nonzero rows are ranked: a piece it kills adds none
+            rows = {t: [] for t, _ in types}
+            for s, p in pairs:
+                own = [(t, mono) for t, monos in types for mono in monos[s.vars]
+                       if is_orbit_rep(p.flavor, mono)]
+                images = block_columns(d, s, p, [mono for _, mono in own], _named)
+                for (t, _), image in zip(own, images):
+                    if image:
+                        rows[t].append(image)
+            for t, _ in types:
+                r = rank(rows[t])
                 if r:
                     blocks.append((k, offset, t, r))
     return blocks
@@ -194,13 +207,12 @@ def _grid(d, D):
     euler = space_series(piece.space(s), D).tshift(off) if piece else Series.zero(D)
     tpiece = _piece_for(t, False)
     for n in range(D0 + 1, D + 1) if piece else ():
-        src = IndexedBasis(0, n, [BasisElement(s, piece, m)
-                                  for m in orbit_reps(piece.space(s), n - off)])
-        tgt = IndexedBasis(1, n + 1, [BasisElement(t, tpiece, m)
-                                      for m in enumerate_monomials(t.vars, n - off)])
+        monos = orbit_reps(piece.space(s), n - off)
+        src = IndexedBasis(0, n, [(s, piece, monos)])
+        tgt = IndexedBasis(1, n + 1, [(t, tpiece, enumerate_monomials(t.vars, n - off))])
         # on t (a = 0: sign +1, full piece, no restriction) d0 is s_hom itself
-        cols = [{tgt.position(BasisElement(t, tpiece, m)): c
-                 for m, c in s_hom(el.mono, t.vars).items()} for el in src]
+        at = tgt.table(t, tpiece)
+        cols = [{at[tm]: c for tm, c in s_hom(m, t.vars).items()} for m in monos]
         if LinearMap(src, tgt, cols).rank() != euler[n]:
             raise ArithmeticError("d0 sub-block is not of full rank at degree %d" % n)
     # a growth keeps the block ranks and appends the new degrees alone: the
@@ -260,17 +272,19 @@ class PageReport(namedtuple("PageReport", "d R D cells total")):
 
 
 def _e2_cells(d, R, D):
-    """The kept page of the R-truncation, (D', cells, total, ends) with
-    D' >= D: its nonzero cells of degrees <= D' as {(k, n): PageCell} in
-    degree order, the total rank of each degree, and ends[n], the number
-    of cells of degree <= n.
+    """The kept page of the R-truncation, (D', cells, total, ends, loops)
+    with D' >= D: its nonzero cells of degrees <= D' as {(k, n): PageCell}
+    in degree order, the total rank of each degree, ends[n], the number
+    of cells of degree <= n, and loops, the loop-space series
+    loopspace_series keeps per offset.
 
     A cell in degree n reads only columns k <= min(R, n - d): its own size
     and rank, and the rank of column k - 1 a degree lower.  None of these
     depends on the max degree, so a kept page answers every smaller D by
-    its prefix, and a larger D walks the new degrees alone into a new page.
-    The new page is swapped in once the walk finishes: a page handed out
-    is never mutated, and a walk the e2 >= 0 guard stops keeps the old one.
+    its prefix, and a larger D walks the new degrees alone into a new page,
+    which takes over loops.  The new page is swapped in once the walk
+    finishes: the cells, totals and ends of a page handed out are never
+    mutated, and a walk the e2 >= 0 guard stops keeps the old page.
     """
     Rn = _norm_R(R)
     grid = _grid(d, D)
@@ -279,7 +293,7 @@ def _e2_cells(d, R, D):
     page = grid[4].get(Rn)
     if page and page[0] >= D:
         return page
-    D0, cells, total, ends = page or (-1, {}, [], [])
+    D0, cells, total, ends, loops = page or (-1, {}, [], [], {})
     cells, total, ends = dict(cells), total + [0] * (D - D0), ends[:]
     K = max(1, D - d)
     kmax = K if Rn is None else min(Rn, K)
@@ -306,7 +320,7 @@ def _e2_cells(d, R, D):
             cells[k, n] = PageCell(size, ker, im_in, e2)
             total[n] += e2
         ends.append(len(cells))
-    grid[4][Rn] = page = (D, cells, total, ends)
+    grid[4][Rn] = page = (D, cells, total, ends, loops)
     return page
 
 
@@ -316,7 +330,7 @@ def e2_ranks(d, R, D):
 
     The report's cells dict may be the kept page's own: read it, never
     mutate it."""
-    Dp, cells, total, ends = _e2_cells(d, R, D)
+    Dp, cells, total, ends, _ = _e2_cells(d, R, D)
     if D < Dp:
         cells = dict(islice(cells.items(), ends[D]))
     return PageReport(d, R, D, cells, Series(total, D))

@@ -259,23 +259,25 @@ def test_verify_reports_a_short_d0_sub_block(capsys, monkeypatch, fresh_grid):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_verify_reports_an_image_outside_the_target_basis(flags):
-    # d_even_col with its first image term raised by one p'_1: the term
-    # leaves the target basis, and the assembly every check reads names it
+    # the even-column rule with its first image term raised by one p'_1:
+    # the first leg of each block maps m to m p'_1, which leaves the target
+    # basis, and the assembly every check reads names it
     import artifact
     code = (
         "import sys\n"
         "from artifact import differentials\n"
         "from artifact.cli import main\n"
-        "real = differentials.d_even_col\n"
-        "def raised(d, el):\n"
-        "    out = real(d, el)\n"
-        "    if out:\n"
-        "        tel, c = next(iter(out.items()))\n"
-        "        del out[tel]\n"
-        "        es, fs = tel.mono\n"
-        "        out[tel._replace(mono=(es, (fs[0] + 1,) + fs[1:]))] = c\n"
-        "    return out\n"
-        "differentials.d_even_col = raised\n"
+        "real = differentials._even_col_legs\n"
+        "def raised(d, s, piece):\n"
+        "    legs = real(d, s, piece)\n"
+        "    if legs:\n"
+        "        t, tpiece, coef, move, swap = legs[0]\n"
+        "        def up(m):\n"
+        "            es, fs = move(m)\n"
+        "            return es, (fs[0] + 1,) + fs[1:]\n"
+        "        legs[0] = (t, tpiece, coef, up, swap)\n"
+        "    return legs\n"
+        "differentials._even_col_legs = raised\n"
         "sys.exit(main(['verify', '--dim', '4', '--max-degree', '30']))\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import differentials
-from artifact.grading import mono_swap, s_hom
-from artifact.strata import Stratum
-from artifact.e1 import build_basis
+from artifact.grading import (
+    mono_swap, s_hom, restrict_terms, is_orbit_rep, FULL, SYM, SKEW,
+)
+from artifact.strata import Stratum, column_content, PLUS, MINUS
+from artifact.e1 import BasisElement, build_basis
 from artifact.differentials import (
     fold_sign, COVER_FACTOR, element_terms, d0, d_fold,
     differential, assemble_matrix, _expand,
@@ -40,6 +42,111 @@ def _apply_differential(d, vec):
             else:
                 del out[tel]
     return out
+
+
+# The rules out of columns k >= 1 element by element, each element
+# building its term dict and one basis element per image term: the
+# reference the block rules of differentials.block_columns must match.
+
+def _ref_terms(el):
+    m = el.mono
+    if el.piece.flavor == FULL:
+        return {m: 1}
+    sm = mono_swap(m)
+    if el.piece.flavor == SYM:
+        return {m: 1} if sm == m else {m: 1, sm: 1}
+    if sm == m:
+        raise ValueError("skew element on the swap-fixed monomial %r" % (m,))
+    return {m: 1, sm: -1}
+
+
+def _ref_plus_swap(terms, sign):
+    out = dict(terms)
+    for m, c in terms.items():
+        sm = mono_swap(m)
+        out[sm] = out.get(sm, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _ref_expand(out, s, euler, terms, coef=1):
+    if not terms or coef == 0:
+        return
+    piece = next((p for p in column_content(s) if p.euler == euler), None)
+    if piece is None:
+        raise ArithmeticError("image hits a stratum without matching content")
+    sign = {SYM: 1, SKEW: -1}.get(piece.flavor)
+    if sign and any(terms.get(mono_swap(m), 0) != sign * c for m, c in terms.items()):
+        raise ArithmeticError("image claimed %s is not"
+                              % ("symmetric" if sign == 1 else "skew"))
+    for m, c in terms.items():
+        if not is_orbit_rep(piece.flavor, m):
+            continue
+        el = BasisElement(s, piece, m)
+        v = out.get(el, 0) + coef * c
+        if v:
+            out[el] = v
+        else:
+            out.pop(el, None)
+
+
+def _ref_fold(d, el):
+    s = el.stratum
+    out = {}
+    if el.piece.euler:
+        return out
+    a, b = s.a, s.b
+    p = _ref_terms(el)
+    if a:
+        t = Stratum(2, a - 1, b)
+        _ref_expand(out, t, False, restrict_terms(p, s.vars, t.vars))
+    if a < b:
+        t = Stratum(2, a, b - 1)
+        q = restrict_terms(p, s.vars, t.vars)
+        _ref_expand(out, t, False, _ref_plus_swap(q, -1) if a == b - 1 else q)
+    return out
+
+
+def _ref_even_col(d, el):
+    s = el.stratum
+    lv = s.level
+    r = lv // 2
+    out = {}
+    if (r % 2 == 0) == el.piece.euler:
+        return out
+    p = _ref_terms(el)
+    for sign in (PLUS, MINUS) if s.a != s.b else (None,):
+        _ref_expand(out, Stratum(lv + 1, s.a, s.b, sign), el.piece.euler, p,
+                    differentials.COVER_FACTOR)
+    return out
+
+
+def _ref_odd_col(d, el):
+    s = el.stratum
+    lv = s.level
+    r = (lv - 1) // 2
+    out = {}
+    t = Stratum(lv + 1, s.a, s.b)
+    p = _ref_terms(el)
+    if s.a != s.b:
+        sheet = 1 if s.sign == PLUS else -1
+        _ref_expand(out, t, el.piece.euler, p, sheet)
+    elif el.piece.euler != (r % 2 == 1):
+        raise ArithmeticError("Euler flag %r at a = b in column %d"
+                              % (el.piece.euler, lv))
+    elif r % 2 == 0:
+        _ref_expand(out, t, False, _ref_plus_swap(p, -1))
+    else:
+        _ref_expand(out, t, True, _ref_plus_swap(p, 1))
+    return out
+
+
+def _ref_columns(d, k, n):
+    """assemble_matrix(d, k, n).cols by the per-element rules (d0 for k = 0)."""
+    rule = (d0 if k == 0 else _ref_fold if k == 1 else
+            _ref_even_col if k % 2 == 0 else _ref_odd_col)
+    index = {el: i for i, el in enumerate(build_basis(d, k + 1, n + 1))}
+    return [{index[tel]: c for tel, c in rule(d, el).items()}
+            for el in build_basis(d, k, n)]
 
 
 class TestD0:
@@ -233,7 +340,7 @@ class TestMatrices:
     def test_rank_zero_map(self):
         # column 0 has no Euler piece for odd d, so d0 kills it
         M = assemble_matrix(5, 0, 8)
-        assert M.source.elements and all(not col for col in M.cols)
+        assert len(M.source) and all(not col for col in M.cols)
         assert M.rank() == 0
 
     def test_fold_matrices_are_pinned(self):
@@ -246,6 +353,16 @@ class TestMatrices:
                 h.update(repr((d, n, cols)).encode())
         assert h.hexdigest() == \
             "d777566047b717b879e383d7a638674a8453fb2ac1e267e0133d2636281b267c"
+
+    def test_block_rules_match_the_per_element_reference(self):
+        # every cell k <= 7, n <= 60 for d = 1..16: the fold's a = 0,
+        # generic and square tops, sign sheets, square chain pairs with
+        # and without the Euler class, and every level mod 4
+        for d in range(1, 17):
+            for k in range(8):
+                for n in range(61):
+                    assert assemble_matrix(d, k, n).cols == _ref_columns(d, k, n), \
+                        (d, k, n)
 
     def test_repr_is_pinned(self):
         assert repr(assemble_matrix(6, 1, 15)) == \
@@ -312,7 +429,8 @@ def test_argument_checks_and_guards_survive_O():
         "        (ArithmeticError, lambda: d_odd_col(6, el(3, 3, 3, False))),\n"
         "        (ArithmeticError, lambda: d_odd_col(6, el(5, 3, 3, True))),\n"
         "        (ArithmeticError, lambda: group_closure(flips)),\n"
-        "        (ArithmeticError, lambda: IndexedBasis(1, 7, [fold, fold]))]:\n"
+        "        (ArithmeticError, lambda: IndexedBasis(\n"
+        "            1, 7, [(fold.stratum, fold.piece, [fold.mono] * 2)]).position(fold))]:\n"
         "    try:\n"
         "        f()\n"
         "    except exc as e:\n"

@@ -154,7 +154,7 @@ def test_rank_matches_gauss_jordan_on_the_8_40_grid():
     for k in range(max(1, D - 8) + 1):
         for n in range(D + 1):
             A = assemble_matrix(8, k, n)
-            assert rank(A.cols) == _gauss_jordan_rank(A.cols, len(A.target.elements)), (k, n)
+            assert rank(A.cols) == _gauss_jordan_rank(A.cols, len(A.target)), (k, n)
 
 
 @pytest.mark.parametrize("d", range(1, 17))
@@ -171,7 +171,7 @@ def test_counted_grid_matches_per_cell_assembly(d):
         for n in range(D + 1):
             A = assemble_matrix(d, k, n)
             got = (sizes[n - shift], ranks[n - shift]) if n >= shift else (0, 0)
-            assert got == (len(A.source.elements), A.rank()), (k, n)
+            assert got == (len(A.source), A.rank()), (k, n)
 
 
 @pytest.mark.parametrize("d, D", [(12, 70), (14, 60)])
@@ -183,7 +183,7 @@ def test_counted_column_0_matches_assembly_at_larger_sizes(d, D):
     pages.clear_cache()
     for n in range(D + 1):
         A = assemble_matrix(d, 0, n)
-        assert sizes[0][n] == len(A.source.elements), n
+        assert sizes[0][n] == len(A.source), n
         assert ranks[0][n] == A.rank(), n
 
 
@@ -198,5 +198,5 @@ def test_counted_columns_1_to_5_match_assembly_at_larger_sizes(d, D):
     for k in range(1, 6):
         for n in range(D + 1):
             A = assemble_matrix(d, k, n)
-            assert sizes[k][n] == len(A.source.elements), (k, n)
+            assert sizes[k][n] == len(A.source), (k, n)
             assert ranks[k][n] == A.rank(), (k, n)

@@ -618,19 +618,27 @@ def test_grid_grown_to_100_matches_cold_grid():
 
 def test_the_grid_assembles_one_new_fold_cell_per_growth(monkeypatch):
     # every rank is counted: a build or growth assembles only its lowest
-    # new fold cell, as a guard; a build applies d_fold to the
+    # new fold cell, as a guard; a build applies the fold rule to the
     # representative blocks and that cell alone, so a larger D adds no
-    # d_fold calls, and a growth keeps the block ranks, so it applies
-    # d_fold only inside its guard cell and ranks no block
+    # fold elements, and a growth keeps the block ranks, so it applies
+    # the fold rule only inside its guard cell and ranks no block.  folds
+    # counts the source elements the fold rule is applied to, blocks
+    # those _block_ranks applies a rule to
     calls, folds, blocks = [], [], []
-    real, real_fold = pages.assemble_matrix, differentials.d_fold
-    real_block = pages.differential
+    real, real_block = pages.assemble_matrix, differentials.block_columns
     monkeypatch.setattr(pages, "assemble_matrix",
                         lambda d, k, n: calls.append((k, n)) or real(d, k, n))
-    monkeypatch.setattr(differentials, "d_fold",
-                        lambda d, el: folds.append(el) or real_fold(d, el))
-    monkeypatch.setattr(pages, "differential",
-                        lambda d, el: blocks.append(el) or real_block(d, el))
+
+    def counting(seen):
+        def run(d, s, piece, monos, tables):
+            if s.level == 1:
+                folds.extend(monos)
+            seen.extend(monos)
+            return real_block(d, s, piece, monos, tables)
+        return run
+
+    monkeypatch.setattr(differentials, "block_columns", counting([]))
+    monkeypatch.setattr(pages, "block_columns", counting(blocks))
 
     def grid(*degrees, cold=True):
         if cold:
