@@ -7,6 +7,7 @@ Exits 1 if the certificate fails.
 
 import sys
 
+from artifact.e1 import build_basis
 from artifact.pages import generator_classes, verify_generators
 
 D = 18
@@ -19,8 +20,10 @@ for g in sorted(classes, key=lambda c: c.degree):
 g = next(c for c in classes if c.kind == "sigma")
 print()
 print("expansion of %s across the fold strata:" % g.label())
-for name, coeff in g.expansion(5).items():
-    print("  %+d * %s" % (coeff, name))
+basis = build_basis(5, 1, g.degree)
+names = list(basis)
+for i, coeff in g.expansion(5, basis).items():
+    print("  %+d * %s" % (coeff, names[i]))
 
 print()
 rep = verify_generators(5, D)

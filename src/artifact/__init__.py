@@ -20,7 +20,7 @@ from .grading import (
 from .strata import Stratum, ContentPiece, enumerate_strata, euler_available, column_content
 from .actions import symmetry_action, invariant_series, oracle_crosscheck
 from .e1 import BasisElement, IndexedBasis, build_basis, column_series
-from .differentials import differential, d0, d_fold, d_even_col, d_odd_col, assemble_matrix
+from .differentials import d0, block_columns, assemble_matrix
 from .pages import (
     e2_ranks, closed_form, closed_form_notes,
     generator_classes, verify_generators, chain_check, collapse_check,

@@ -33,29 +33,29 @@ Level 2r + 1 to 2r + 2:  sign sheets map by +-U . m with the sign of
 the sheet.  At a = b the single full source maps by m - swap m (r even)
 or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 
-Out of a column k >= 1 each rule is stated once per source block, the
-monomials of one (stratum, piece) of a basis (e1.py): _fold_legs,
-_even_col_legs and _odd_col_legs resolve the block's legs, each a
-target stratum and piece, an integer coefficient, a monomial map and
-an optional swap sign.  The map is the identity past the fold and
-drops at most one variable into level 2; only where a = b does an
-image take m +- swap m.  block_columns then carries the block's
-monomials through its legs in one pass, keyed by a table per target
-block: positions in assemble_matrix, basis elements in differential,
-d_fold, d_even_col and d_odd_col, which are the one-element case.  d0
-builds its Whitney image element by element.
+Each rule is stated once per source block, the monomials of one
+(stratum, piece) of a basis (e1.py), and keys the block's images
+through a table per target block: positions in assemble_matrix and in
+the generator vectors, basis elements in pages._block_ranks.  d0
+restricts one Whitney image per monomial down the fold staircase.  Out
+of a column k >= 1 _fold_legs, _even_col_legs and _odd_col_legs
+resolve the block's legs, each a target stratum and piece, an integer
+coefficient, a monomial map and an optional swap sign.  The map is the
+identity past the fold and drops at most one variable into level 2;
+only where a = b does an image take m +- swap m.  block_columns
+dispatches a block to its rule, and _carry maps the block's monomials
+through the legs in one pass.
 """
 
 from collections import namedtuple
-from functools import partial
 from weakref import WeakValueDictionary
 
 from .grading import (
     VariableSet, mono_swap, restrict_terms, restriction, s_hom, is_orbit_rep,
-    FULL, SYM, SKEW, _Filled,
+    FULL, SYM, SKEW,
 )
 from .strata import Stratum, column_content, PLUS, MINUS
-from .e1 import BasisElement, build_basis
+from .e1 import build_basis
 from .linalg import rank
 
 
@@ -79,11 +79,6 @@ def _terms(flavor, m):
     if sm == m:
         raise ValueError("skew element on the swap-fixed monomial %r" % (m,))
     return {m: 1, sm: -1}
-
-
-def element_terms(el):
-    """The term dict of a basis element: m, m + swap m or m - swap m."""
-    return _terms(el.piece.flavor, el.mono)
 
 
 def _plus_swap(terms, sign):
@@ -123,25 +118,22 @@ def _coordinates(flavor, terms):
     return [(m, c) for m, c in terms.items() if is_orbit_rep(flavor, m)]
 
 
-def _expand(out, s, euler, terms, coef=1):
-    """Accumulate coef * (U_s . e^euler . terms) as basis coordinates.
-
-    terms maps monomials of s to nonzero ints.
-    """
-    if not terms or coef == 0:
-        return
-    piece = _target_piece(s, euler)
-    for m, c in _coordinates(piece.flavor, terms):
-        el = BasisElement(s, piece, m)
-        v = out.get(el, 0) + coef * c
+def _expand(out, at, flavor, terms, coef):
+    """Accumulate coef * terms, read off in a target piece of this flavor,
+    into the {key: int} dict out, each monomial keyed through the table at
+    (see _carry); zeros are dropped."""
+    for m, c in _coordinates(flavor, terms):
+        key = at[m]
+        v = out.get(key, 0) + coef * c
         if v:
-            out[el] = v
+            out[key] = v
         else:
-            out.pop(el, None)
+            out.pop(key, None)
 
 
-def restriction_expansion(d, a_top, terms, vs):
-    """Fold-column coordinates of sum_{a <= a_top} (-1)^a U_{a, d+1-a, 1} . p|.
+def restriction_expansion(d, a_top, terms, vs, tables):
+    """Fold-column coordinates of sum_{a <= a_top} (-1)^a U_{a, d+1-a, 1} . p|,
+    keyed through tables (see _carry).
 
     p is the {monomial: int} dict terms in the variables vs, and p| its
     restrict_terms to the variables of the fold stratum (a, d+1-a).
@@ -155,22 +147,23 @@ def restriction_expansion(d, a_top, terms, vs):
         ranges = (t.vars.na, t.vars.nb)
         if ranges not in kept:
             kept[ranges] = restrict_terms(terms, vs, t.vars)
-        _expand(out, t, False, kept[ranges], fold_sign(a))
+        piece = _target_piece(t, False)
+        _expand(out, tables(t, piece), piece.flavor, kept[ranges], fold_sign(a))
     return out
 
 
-def d0(d, el):
-    """Column 0 into the fold column."""
-    if el.stratum.level != 0:
-        raise ValueError("d0 applied to column %d" % el.stratum.level)
-    if not el.piece.euler:
-        return {}
+def d0(d, s, piece, monos, tables):
+    """Column 0 into the fold column: the images of the block's monomials,
+    keyed through tables (see _carry)."""
+    if not piece.euler:
+        return [{} for _ in monos]
     # s_hom is a ring map that commutes with restrict (both send the
     # out-of-range variables to 0), so one image in P(d, d) restricts to
     # the image in each fold stratum's own variables; the even-d sigma
     # classes are these images in that ring, so both read one kept copy
     vs = VariableSet(d, d)
-    return restriction_expansion(d, d // 2, s_hom((el.mono[0], ()), vs), vs)
+    return [restriction_expansion(d, d // 2, s_hom((m[0], ()), vs), vs, tables)
+            for m in monos]
 
 
 def _same(m):
@@ -180,8 +173,6 @@ def _same(m):
 
 def _fold_legs(d, s, piece):
     """Fold column into level 2: [(target, its piece, coefficient, map, swap)]."""
-    if s.level != 1:
-        raise ValueError("d_fold applied to column %d" % s.level)
     if piece.euler:
         return []
     a, b = s.a, s.b
@@ -200,8 +191,6 @@ def _fold_legs(d, s, piece):
 def _even_col_legs(d, s, piece):
     """Level 2r into level 2r + 1."""
     lv = s.level
-    if lv < 2 or lv % 2:
-        raise ValueError("d_even_col applied to column %d" % lv)
     if ((lv // 2) % 2 == 0) == piece.euler:
         return []
     targets = [Stratum(lv + 1, s.a, s.b, sign) for sign in
@@ -213,8 +202,6 @@ def _even_col_legs(d, s, piece):
 def _odd_col_legs(d, s, piece):
     """Level 2r + 1 into level 2r + 2."""
     lv = s.level
-    if lv < 3 or lv % 2 == 0:
-        raise ValueError("d_odd_col applied to column %d" % lv)
     r = (lv - 1) // 2
     t = Stratum(lv + 1, s.a, s.b)
     if s.a != s.b:
@@ -237,7 +224,7 @@ def _carry(legs, flavor, monos, tables):
     leg out of a full piece carries each monomial to one term q, or, with
     a swap sign, to q +- swap q in the target eigenspace of that sign, one
     coordinate; any other leg reads the terms of m through the target
-    flavor, checking that they lie in its eigenspace.
+    flavor (_expand), checking that they lie in its eigenspace.
     """
     cols = [{} for _ in monos]
     for t, tpiece, coef, move, swap in legs:
@@ -269,56 +256,20 @@ def _carry(legs, flavor, monos, tables):
                 y = move(x)
                 if y is not None:
                     q[y] = c
-            if swap:
-                q = _plus_swap(q, swap)
-            for y, c in _coordinates(tflavor, q):
-                key = at[y]
-                v = col.get(key, 0) + coef * c
-                if v:
-                    col[key] = v
-                else:
-                    del col[key]
+            _expand(col, at, tflavor, _plus_swap(q, swap) if swap else q, coef)
     return cols
 
 
 def block_columns(d, s, piece, monos, tables):
-    """The images of the basis elements (s, piece, m), m in monos, out of a
-    column k >= 1, keyed through tables (see _carry): the block's rule
-    resolves its legs once, and _carry maps the monomials in one pass."""
+    """The images of the basis elements (s, piece, m), m in monos, keyed
+    through tables (see _carry): d0 maps a column-0 block, and out of a
+    column k >= 1 the block's rule resolves its legs once and _carry maps
+    the monomials through them in one pass."""
     lv = s.level
+    if lv == 0:
+        return d0(d, s, piece, monos, tables)
     rule = _fold_legs if lv == 1 else _odd_col_legs if lv % 2 else _even_col_legs
     return _carry(rule(d, s, piece), piece.flavor, monos, tables)
-
-
-def _named(t, tpiece):
-    # the one-element case keys each target monomial by its basis element
-    return _Filled(partial(BasisElement, t, tpiece))
-
-
-def _one(legs, el):
-    return _carry(legs, el.piece.flavor, [el.mono], _named)[0]
-
-
-def d_fold(d, el):
-    """Fold column into level 2."""
-    return _one(_fold_legs(d, el.stratum, el.piece), el)
-
-
-def d_even_col(d, el):
-    """Level 2r into level 2r + 1."""
-    return _one(_even_col_legs(d, el.stratum, el.piece), el)
-
-
-def d_odd_col(d, el):
-    """Level 2r + 1 into level 2r + 2."""
-    return _one(_odd_col_legs(d, el.stratum, el.piece), el)
-
-
-def differential(d, el):
-    """Dispatch on the source column."""
-    if el.stratum.level == 0:
-        return d0(d, el)
-    return block_columns(d, el.stratum, el.piece, [el.mono], _named)[0]
 
 
 class LinearMap(namedtuple("LinearMap", "source target cols")):
@@ -363,19 +314,15 @@ def _basis(d, k, n):
 def assemble_matrix(d, k, n):
     """Matrix of the differential out of column k, total degree n.
 
-    Out of a column k >= 1 block_columns maps each source block to target
-    positions in one pass; d0 maps column 0 element by element.  The
-    source basis of (k, n) is the target basis of (k - 1, n - 1): while
-    one matrix holding a basis is alive, every other matrix that needs it
-    shares it, so a caller that keeps its matrices (the reader of
-    pages.assemble_columns) builds each basis once.
+    block_columns maps each source block to target positions, column 0
+    included.  The source basis of (k, n) is the target basis of
+    (k - 1, n - 1): while one matrix holding a basis is alive, every other
+    matrix that needs it shares it, so a caller that keeps its matrices
+    (the reader of pages.assemble_columns) builds each basis once.
     """
     src = _basis(d, k, n)
     tgt = _basis(d, k + 1, n + 1)
-    if k == 0:
-        cols = [{tgt.position(tel): c for tel, c in d0(d, el).items()} for el in src]
-    else:
-        cols = []
-        for s, piece, monos in src.blocks:
-            cols += block_columns(d, s, piece, monos, tgt.table)
+    cols = []
+    for s, piece, monos in src.blocks:
+        cols += block_columns(d, s, piece, monos, tgt.table)
     return LinearMap(src, tgt, cols)

@@ -78,9 +78,6 @@ class IndexedBasis:
             table = self._tables[stratum, piece] = _Positions(self, stratum, piece)
         return table
 
-    def position(self, el):
-        return self.table(el.stratum, el.piece)[el.mono]
-
 
 class _Positions(dict):
     """One block's {monomial: position}; empty for a piece with no block."""

@@ -55,7 +55,9 @@ and the Euler-carried I classes for odd d); generator_classes builds
 their labels and degrees in one loop over the degrees, and
 verify_generators reads each degree's classes as one run and checks
 that they exhaust the computed second page, building each class's
-fold-column expansion in its degree's step and dropping it after.
+vector in its degree's step and dropping it after: its positions in
+the fold basis of that degree, read through the tables the fold
+matrix's source keeps, as the rules read theirs.
 
 clear_cache() empties the grid and the eight tables the modules below
 keep for reuse (Whitney images, bump maps holding one copy of their
@@ -72,13 +74,13 @@ from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
     mono_mul, is_orbit_rep, restrict_terms, poly_str,
-    _IMAGES, _BUMPS, _TEXT, _exponent_tuples,
+    _IMAGES, _BUMPS, _TEXT, _Filled, _exponent_tuples,
 )
 from .strata import Stratum, enumerate_strata, column_content, _variables
 from .e1 import BasisElement, IndexedBasis
 from .differentials import (
-    block_columns, assemble_matrix, restriction_expansion, element_terms,
-    _piece_for, _named, LinearMap, _BASES,
+    block_columns, assemble_matrix, restriction_expansion, _terms, _piece_for,
+    LinearMap, _BASES,
 )
 from .linalg import rank
 
@@ -113,6 +115,12 @@ def clear_cache():
         table.clear()
     for table in (_exponent_tuples, space_series, column_content, _variables):
         table.cache_clear()
+
+
+def _named(t, tpiece):
+    # _block_ranks has no target basis: it keys each target monomial by
+    # its basis element
+    return _Filled(partial(BasisElement, t, tpiece))
 
 
 def _block_ranks(d, columns):
@@ -447,9 +455,9 @@ class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree recip
 
     kind is 'tau', 'sigma', 'i', or 'i_top'; family is the tau index j,
     the even symbol a of an I class, or None; data is the defining
-    polynomial as a {monomial: int} dict; recipe is what expansion(d)
-    builds the class from: the (a_top, variable set) a tau or sigma class
-    restricts data from, or an I class's basis element.
+    polynomial as a {monomial: int} dict; recipe is what expansion(d,
+    basis) builds the class from: the (a_top, variable set) a tau or sigma
+    class restricts data from, or an I class's basis element.
     """
 
     __slots__ = ()
@@ -463,13 +471,14 @@ class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree recip
             return "I[a=%d](%s)" % (self.family, poly_str(self.data))
         return "I_top(%s)" % poly_str(self.data)
 
-    def expansion(self, d):
-        """The class's fold basis elements mapped to coefficients, built
-        anew on each call and kept by no one."""
+    def expansion(self, d, basis):
+        """The class as {position: int} in basis, the fold basis of its
+        degree, built anew on each call and kept by no one."""
         if self.kind in ("i", "i_top"):
-            return {self.recipe: 1}
+            s, piece, m = self.recipe
+            return {basis.table(s, piece)[m]: 1}
         a_top, vs = self.recipe
-        return restriction_expansion(d, a_top, self.data, vs)
+        return restriction_expansion(d, a_top, self.data, vs, basis.table)
 
     def __repr__(self):
         return "%s deg=%d" % (self.label(), self.degree)
@@ -485,7 +494,7 @@ def generator_classes(d, D):
     d0(e.m): its defining polynomial is s_hom(m) in P(d, d), the same
     kept image d0 restricts, so each image is built once.  For
     odd d the sigma classes restrict a skew polynomial from the top fold
-    stratum, and the Euler part of the fold column, which d_fold kills
+    stratum, and the Euler part of the fold column, which the fold rule kills
     and nothing maps into, gives the I classes (I_top at a = b).  One
     loop asks every family for each degree: tau family by family in
     ascending a_top, then sigma, then the I classes stratum by stratum.
@@ -520,8 +529,8 @@ def generator_classes(d, D):
         out += [GeneratorClass("sigma", None, q, n, recipe) for q in sigma(n - fold)]
         for s, piece, (kind, family) in eulers:
             for m in orbit_reps(piece.space(s), n - piece.offset(s)):
-                el = BasisElement(s, piece, m)
-                out.append(GeneratorClass(kind, family, element_terms(el), el.degree, el))
+                out.append(GeneratorClass(kind, family, _terms(piece.flavor, m), n,
+                                          BasisElement(s, piece, m)))
     return out
 
 
@@ -587,7 +596,7 @@ def verify_generators(d, D, *, maps=None):
         vecs = {"sigma": [], "rest": []}
         while at < len(classes) and classes[at].degree == n:
             cl, at = classes[at], at + 1
-            vec = {fold.source.position(el): c for el, c in cl.expansion(d).items()}
+            vec = cl.expansion(d, fold.source)
             bad_kernel += bool(fold.apply(vec))
             key = "sigma" if (d % 2 == 0 and cl.kind == "sigma") else "rest"
             vecs[key].append(vec)

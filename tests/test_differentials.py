@@ -16,10 +16,7 @@ from artifact.grading import (
 )
 from artifact.strata import Stratum, column_content, PLUS, MINUS
 from artifact.e1 import BasisElement, build_basis
-from artifact.differentials import (
-    fold_sign, COVER_FACTOR, element_terms, d0, d_fold,
-    differential, assemble_matrix, _expand,
-)
+from artifact.differentials import fold_sign, COVER_FACTOR, _terms, assemble_matrix
 from artifact.pages import chain_check
 
 
@@ -27,15 +24,25 @@ def _by_name(image):
     return {repr(el): c for el, c in image.items()}
 
 
+def _images(d, k, n):
+    """{source element: its image {target element: int}}: the columns of
+    assemble_matrix(d, k, n), named through its bases."""
+    M = assemble_matrix(d, k, n)
+    names = list(M.target)
+    return {el: {names[i]: c for i, c in col.items()}
+            for el, col in zip(M.source, M.cols)}
+
+
 def _apply_differential(d, vec):
-    """The differential of an integer combination {BasisElement: int}.
+    """The differential of an integer combination {BasisElement: int}, by
+    the per-element reference rules below.
 
     The element-wise reference for chain_check's matrix products: terms
     that cancel are dropped, so the image is {} exactly when it is zero.
     """
     out = {}
     for el, c in vec.items():
-        for tel, tc in differential(d, el).items():
+        for tel, tc in _ref_differential(d, el).items():
             v = out.get(tel, 0) + c * tc
             if v:
                 out[tel] = v
@@ -44,9 +51,11 @@ def _apply_differential(d, vec):
     return out
 
 
-# The rules out of columns k >= 1 element by element, each element
-# building its term dict and one basis element per image term: the
-# reference the block rules of differentials.block_columns must match.
+# The rules element by element, each element building its term dict and
+# one basis element per image term: the reference the block rules of
+# differentials.block_columns must match.  The reference reads
+# differentials.fold_sign and COVER_FACTOR when called, so a patched
+# constant changes both sides.
 
 def _ref_terms(el):
     m = el.mono
@@ -87,6 +96,17 @@ def _ref_expand(out, s, euler, terms, coef=1):
             out[el] = v
         else:
             out.pop(el, None)
+
+
+def _ref_d0(d, el):
+    # the Whitney image built in each fold target's own variables
+    out = {}
+    if el.piece.euler:
+        for a in range(d // 2 + 1):
+            t = Stratum(1, a, d + 1 - a)
+            _ref_expand(out, t, False, s_hom((el.mono[0], ()), t.vars),
+                        differentials.fold_sign(a))
+    return out
 
 
 def _ref_fold(d, el):
@@ -140,124 +160,115 @@ def _ref_odd_col(d, el):
     return out
 
 
-def _ref_columns(d, k, n):
-    """assemble_matrix(d, k, n).cols by the per-element rules (d0 for k = 0)."""
-    rule = (d0 if k == 0 else _ref_fold if k == 1 else
+def _ref_differential(d, el):
+    k = el.stratum.level
+    rule = (_ref_d0 if k == 0 else _ref_fold if k == 1 else
             _ref_even_col if k % 2 == 0 else _ref_odd_col)
+    return rule(d, el)
+
+
+def _ref_columns(d, k, n):
+    """assemble_matrix(d, k, n).cols by the per-element rules."""
     index = {el: i for i, el in enumerate(build_basis(d, k + 1, n + 1))}
-    return [{index[tel]: c for tel, c in rule(d, el).items()}
+    return [{index[tel]: c for tel, c in _ref_differential(d, el).items()}
             for el in build_basis(d, k, n)]
 
 
 class TestD0:
     def test_plain_monomials_die(self):
-        basis = build_basis(4, 0, 8)
-        for el in basis:
+        for el, image in _images(4, 0, 8).items():
             if not el.piece.euler:
-                assert d0(4, el) == {}
+                assert image == {}
 
     def test_euler_unit_hits_every_fold_stratum(self):
-        basis = build_basis(4, 0, 4)
-        (el,) = [el for el in basis if el.piece.euler]
-        image = _by_name(d0(4, el))
-        assert image == {"U_{0,5,1}.1": 1, "U_{1,4,1}.1": -1, "U_{2,3,1}.1": 1}
+        (image,) = [im for el, im in _images(4, 0, 4).items() if el.piece.euler]
+        assert _by_name(image) == {"U_{0,5,1}.1": 1, "U_{1,4,1}.1": -1, "U_{2,3,1}.1": 1}
 
     def test_euler_p1_splits(self):
-        basis = build_basis(4, 0, 8)
-        (el,) = [el for el in basis if el.piece.euler]
-        image = _by_name(d0(4, el))
+        (image,) = [im for el, im in _images(4, 0, 8).items() if el.piece.euler]
         # p_1 -> p'_1 on (0,5) and (1,4), -> p_1 + p'_1 on (2,3)
-        assert image == {
+        assert _by_name(image) == {
             "U_{0,5,1}.p'_1": 1, "U_{1,4,1}.p'_1": -1,
             "U_{2,3,1}.p_1": 1, "U_{2,3,1}.p'_1": 1,
         }
 
     def test_odd_dimension_has_no_euler_source(self):
-        for n in (5, 9, 13):
-            for el in build_basis(5, 0, n):
+        # column 0 of d = 5 sits in the degrees 4j: 5, 9 and 13 hold none
+        seen = 0
+        for n in (4, 5, 8, 9, 12, 13):
+            for el, image in _images(5, 0, n).items():
+                seen += 1
                 assert not el.piece.euler
-                assert d0(5, el) == {}
+                assert image == {}
+        assert seen
 
     @pytest.mark.parametrize("d", [2, 4, 6, 8, 10, 12])
     def test_matches_whitney_image_per_target(self, d):
         # reference: the Whitney image built in each target's own variables
-        def per_target(el):
-            out = {}
-            for a in range(d // 2 + 1):
-                t = Stratum(1, a, d + 1 - a)
-                _expand(out, t, False, s_hom((el.mono[0], ()), t.vars),
-                        fold_sign(a))
-            return out
-
         seen = 0
         for n in range(41):
-            for el in build_basis(d, 0, n):
+            for el, image in _images(d, 0, n).items():
                 if el.piece.euler:
                     seen += 1
-                    assert d0(d, el) == per_target(el)
+                    assert image == _ref_d0(d, el)
         assert seen
 
 
 class TestDFold:
     def test_a0_restricts(self):
-        el = [e for e in build_basis(4, 1, 9)][0]
+        el, image = next(iter(_images(4, 1, 9).items()))
         assert repr(el) == "U_{0,5,1}.p'_1"
-        image = _by_name(d_fold(4, el))
-        assert image == {"U_{0,4,2}.p'_1": 1}
+        assert _by_name(image) == {"U_{0,4,2}.p'_1": 1}
 
     def test_middle_spreads_two_ways(self):
-        el = [e for e in build_basis(4, 1, 9) if e.stratum.a == 1][0]
-        image = _by_name(d_fold(4, el))
-        assert image == {"U_{0,4,2}.p'_1": 1, "U_{1,3,2}.p'_1": 1}
+        image = next(im for el, im in _images(4, 1, 9).items() if el.stratum.a == 1)
+        assert _by_name(image) == {"U_{0,4,2}.p'_1": 1, "U_{1,3,2}.p'_1": 1}
 
     def test_top_even_d_antisymmetrizes(self):
-        el = [e for e in build_basis(4, 1, 9) if e.stratum.a == 2][0]
+        el, image = next((el, im) for el, im in _images(4, 1, 9).items()
+                         if el.stratum.a == 2)
         assert repr(el) == "U_{2,3,1}.p_1"
-        image = _by_name(d_fold(4, el))
         # the (1,3) leg kills p_1 outright; on (2,2) the skew part of
         # p_1 - p'_1 is read off at its representative p_1
-        assert image == {"U_{2,2,2}.p_1": 1}
+        assert _by_name(image) == {"U_{2,2,2}.p_1": 1}
 
     def test_top_even_d_two_legs(self):
-        el = [e for e in build_basis(4, 1, 9)
-              if repr(e) == "U_{2,3,1}.p'_1"][0]
-        image = _by_name(d_fold(4, el))
-        assert image == {"U_{1,3,2}.p'_1": 1, "U_{2,2,2}.p_1": -1}
+        image = next(im for el, im in _images(4, 1, 9).items()
+                     if repr(el) == "U_{2,3,1}.p'_1")
+        assert _by_name(image) == {"U_{1,3,2}.p'_1": 1, "U_{2,2,2}.p_1": -1}
 
     def test_top_even_d_symmetric_dies_in_square(self):
-        els = [e for e in build_basis(4, 1, 13) if e.stratum.a == 2]
-        for el in els:
-            image = _by_name(d_fold(4, el))
-            sq = {k: v for k, v in image.items() if k.startswith("U_{2,2,2}")}
+        for el, image in _images(4, 1, 13).items():
+            if el.stratum.a != 2:
+                continue
+            sq = {k: v for k, v in _by_name(image).items() if k.startswith("U_{2,2,2}")}
             # p_1 p'_1 is swap fixed, so only the pure squares survive
             if repr(el) == "U_{2,3,1}.p_1 p'_1":
                 assert sq == {}
 
     def test_euler_fold_elements_die(self):
         for n in range(4, 16):
-            for el in build_basis(3, 1, n):
+            for el, image in _images(3, 1, n).items():
                 if el.piece.euler:
-                    assert d_fold(3, el) == {}
+                    assert image == {}
 
     def test_odd_d_square_restricts_down(self):
-        (el,) = [e for e in build_basis(5, 1, 14) if e.stratum.a == 3]
-        image = _by_name(d_fold(5, el))
+        (image,) = [im for el, im in _images(5, 1, 14).items() if el.stratum.a == 3]
         # p_1^2 - p'_1^2 carries over to (2,3) unchanged
-        assert image == {"U_{2,3,2}.p_1^2": 1, "U_{2,3,2}.p'_1^2": -1}
+        assert _by_name(image) == {"U_{2,3,2}.p_1^2": 1, "U_{2,3,2}.p'_1^2": -1}
 
 
 class TestHigherColumns:
     def test_level2_plain_piece_dies(self):
         # r = 1 is odd, so at level 2 only the Euler piece moves
-        el = [e for e in build_basis(4, 2, 6)][0]
+        el, image = next(iter(_images(4, 2, 6).items()))
         assert not el.piece.euler
-        assert differential(4, el) == {}
+        assert image == {}
 
     def test_even_column_cover_multiplicity(self):
-        els = [e for e in build_basis(4, 2, 10) if e.piece.euler]
-        assert els
-        image = differential(4, els[0])
-        assert sorted(c for c in image.values()) == [COVER_FACTOR, COVER_FACTOR]
+        images = [im for el, im in _images(4, 2, 10).items() if el.piece.euler]
+        assert images
+        assert sorted(c for c in images[0].values()) == [COVER_FACTOR, COVER_FACTOR]
 
     def test_even_column_cover_entries_are_two(self):
         # U_{0,4,2}.e.1 maps onto both sheets U+-_{0,4,3}.e.1 with the
@@ -269,28 +280,28 @@ class TestHigherColumns:
         assert m.cols == [{}, {0: 2, 1: 2}, {}, {}]
 
     def test_odd_column_sheets_cancel_in_pairs(self):
-        els = [e for e in build_basis(4, 5, 9) if e.stratum.sign is not None]
-        plus = [e for e in els if e.stratum.sign == 1]
-        minus = [e for e in els if e.stratum.sign == -1]
-        for p, m in zip(plus, minus):
-            ip, im = differential(4, p), differential(4, m)
+        images = _images(4, 5, 9)
+        plus = [im for el, im in images.items() if el.stratum.sign == 1]
+        minus = [im for el, im in images.items() if el.stratum.sign == -1]
+        assert plus and len(plus) == len(minus)
+        for ip, im in zip(plus, minus):
             assert set(ip) == set(im)
             for el in ip:
                 assert ip[el] == -im[el]
 
 
 class TestElementPoly:
-    # the polynomial of a basis element, as element_terms' dict
+    # the polynomial a basis element stands for, as _terms' dict
 
     def test_full(self):
         el = [e for e in build_basis(4, 1, 9) if e.stratum.a == 2][0]
-        assert element_terms(el) == {((1,), (0,)): 1}
+        assert _terms(el.piece.flavor, el.mono) == {((1,), (0,)): 1}
 
     def test_skew_vector(self):
         els = [e for e in build_basis(5, 1, 14) if e.stratum.a == 3]
         assert els
         for el in els:
-            p = element_terms(el)
+            p = _terms(el.piece.flavor, el.mono)
             assert p and {mono_swap(m): -c for m, c in p.items()} == p
 
 
@@ -309,8 +320,9 @@ class TestMatrices:
     @given(st.integers(1, 9), st.integers(0, 5), st.integers(0, 30))
     @settings(max_examples=40, deadline=None)
     def test_chain_condition_sampled(self, d, k, n):
-        for el in build_basis(d, k, n):
-            assert _apply_differential(d, differential(d, el)) == {}, el
+        # the assembled image of each element, then the reference rules
+        for el, image in _images(d, k, n).items():
+            assert _apply_differential(d, image) == {}, el
 
     @given(st.integers(1, 9), st.integers(0, 30),
            st.sampled_from([fold_sign, lambda a: 1]), st.sampled_from([COVER_FACTOR, 0]))
@@ -323,7 +335,7 @@ class TestMatrices:
         kmax = min(5, max(1, D - d) - 1)
         with mock.patch.multiple(differentials, fold_sign=sign, COVER_FACTOR=cover):
             bad = next(((k, n) for k in range(kmax + 1) for n in range(D)
-                        if any(_apply_differential(d, differential(d, el))
+                        if any(_apply_differential(d, _ref_differential(d, el))
                                for el in build_basis(d, k, n))), None)
             rep = chain_check(d, D)
         assert rep.entries == [("chain condition d(d(x)) = 0", bad is None,
@@ -345,7 +357,7 @@ class TestMatrices:
 
     def test_fold_matrices_are_pinned(self):
         # every fold matrix for d = 1..12 up to degree 40: the a = 0,
-        # generic, odd-d top and even-d top rules of d_fold all appear
+        # generic, odd-d top and even-d top legs of the fold rule all appear
         h = hashlib.sha256()
         for d in range(1, 13):
             for n in range(41):
@@ -377,13 +389,13 @@ def test_expand_guards_survive_O():
     import artifact
     code = (
         "from artifact.strata import Stratum\n"
-        "from artifact.differentials import _expand\n"
+        "from artifact.differentials import _expand, _target_piece\n"
         "p1 = {((1,), (0,)): 1}\n"
         "for s, euler in ((Stratum(1, 2, 2), True), (Stratum(1, 2, 2), False),\n"
         "                 (Stratum(1, 1, 4), True)):\n"
         "    out = {}\n"
         "    try:\n"
-        "        _expand(out, s, euler, p1)\n"
+        "        _expand(out, {m: 0 for m in p1}, _target_piece(s, euler).flavor, p1, 1)\n"
         "    except ArithmeticError as e:\n"
         "        print(e)\n"
         "    else:\n"
@@ -399,38 +411,38 @@ def test_expand_guards_survive_O():
 
 
 def test_argument_checks_and_guards_survive_O():
-    # wrong-column calls, an exchange in the symmetry group of a stratum
-    # with a != b (patched in, since no table makes one) and a skew
-    # element on a swap-fixed monomial are argument errors; a wrong Euler
-    # flag at a = b, a symmetry group above order 4 and a duplicate basis
-    # element break exactness.  Each must still raise under -O
+    # an exchange in the symmetry group of a stratum with a != b (patched
+    # in, since no table makes one) and a skew element on a swap-fixed
+    # monomial are argument errors; a wrong Euler flag at a = b, a
+    # symmetry group above order 4, a duplicate basis element and a
+    # lookup of a monomial the basis lacks break exactness.  Each must
+    # still raise under -O
     import artifact
     code = (
         "from artifact.grading import FULL, SKEW, VariableSet, mono_one\n"
         "from artifact.strata import Stratum, ContentPiece\n"
-        "from artifact.e1 import BasisElement, IndexedBasis\n"
+        "from artifact.e1 import IndexedBasis\n"
         "from artifact import actions\n"
         "from artifact.actions import ActionGen, group_closure, invariant_series\n"
-        "from artifact.differentials import (\n"
-        "    d0, d_fold, d_even_col, d_odd_col, element_terms)\n"
-        "def el(level, a, b, euler, flavor=FULL):\n"
-        "    return BasisElement(Stratum(level, a, b), ContentPiece(euler, flavor),\n"
-        "                        mono_one(VariableSet(a, b)))\n"
-        "fold, flips = el(1, 0, 7, False), [ActionGen(False, -1, 1, 1, 1, 1),\n"
+        "from artifact.differentials import block_columns, _terms\n"
+        "def square(level, euler):\n"
+        "    return block_columns(6, Stratum(level, 3, 3), ContentPiece(euler, FULL),\n"
+        "                         [mono_one(VariableSet(3, 3))], None)\n"
+        "fold, piece = Stratum(1, 0, 7), ContentPiece(False, FULL)\n"
+        "one, p1 = mono_one(fold.vars), ((), (1, 0, 0))\n"
+        "flips = [ActionGen(False, -1, 1, 1, 1, 1),\n"
         "    ActionGen(False, 1, -1, 1, 1, 1), ActionGen(False, 1, 1, -1, 1, 1)]\n"
         "actions.symmetry_action = lambda s: [ActionGen(True, 1, 1, 1, 1, 1)]\n"
         "for exc, f in [\n"
-        "        (ValueError, lambda: d0(6, fold)),\n"
-        "        (ValueError, lambda: d_fold(6, el(0, 6, 0, False))),\n"
-        "        (ValueError, lambda: d_even_col(6, el(3, 3, 3, True))),\n"
-        "        (ValueError, lambda: d_odd_col(6, el(2, 3, 3, False))),\n"
-        "        (ValueError, lambda: element_terms(el(2, 2, 2, False, SKEW))),\n"
+        "        (ValueError, lambda: _terms(SKEW, mono_one(VariableSet(2, 2)))),\n"
         "        (ValueError, lambda: invariant_series(Stratum(2, 1, 5), 20)),\n"
-        "        (ArithmeticError, lambda: d_odd_col(6, el(3, 3, 3, False))),\n"
-        "        (ArithmeticError, lambda: d_odd_col(6, el(5, 3, 3, True))),\n"
+        "        (ArithmeticError, lambda: square(3, False)),\n"
+        "        (ArithmeticError, lambda: square(5, True)),\n"
         "        (ArithmeticError, lambda: group_closure(flips)),\n"
         "        (ArithmeticError, lambda: IndexedBasis(\n"
-        "            1, 7, [(fold.stratum, fold.piece, [fold.mono] * 2)]).position(fold))]:\n"
+        "            1, 7, [(fold, piece, [one] * 2)]).table(fold, piece)),\n"
+        "        (ArithmeticError, lambda: IndexedBasis(\n"
+        "            1, 7, [(fold, piece, [one])]).table(fold, piece)[p1])]:\n"
         "    try:\n"
         "        f()\n"
         "    except exc as e:\n"
@@ -443,14 +455,11 @@ def test_argument_checks_and_guards_survive_O():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "d0 applied to column 1",
-        "d_fold applied to column 0",
-        "d_even_col applied to column 3",
-        "d_odd_col applied to column 2",
         "skew element on the swap-fixed monomial ((0,), (0,))",
         "exchange applied to stratum A_2(1,5) with a != b",
         "Euler flag False at a = b in column 3",
         "Euler flag True at a = b in column 5",
         "symmetry group of order 8 exceeds 4",
         "basis (1, 7) lists an element twice",
+        "U_{0,7,1}.p'_1 is not in the basis of column 1 degree 7",
     ]

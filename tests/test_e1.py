@@ -46,7 +46,7 @@ def test_euler_shifted_level3():
 def test_positions_are_consistent():
     basis = build_basis(4, 1, 13)
     for i, el in enumerate(basis):
-        assert basis.position(el) == i
+        assert basis.table(el.stratum, el.piece)[el.mono] == i
         assert el.degree == 13
 
 
@@ -55,7 +55,7 @@ def test_position_of_a_missing_element_names_the_spot():
     # ArithmeticError naming the column and degree, also under -O
     el = next(iter(build_basis(4, 1, 9)))
     with pytest.raises(ArithmeticError, match="not in the basis of column 1 degree 13"):
-        build_basis(4, 1, 13).position(el)
+        build_basis(4, 1, 13).table(el.stratum, el.piece)[el.mono]
 
 
 def test_column_series_d4_fold():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from artifact import differentials, pages
 from artifact.cli import main
 from artifact.differentials import (
-    _piece_for, LinearMap, d0, element_terms, restriction_expansion,
+    _piece_for, _terms, LinearMap, assemble_matrix, restriction_expansion,
 )
 from artifact.e1 import BasisElement, build_basis, column_series
 from artifact.grading import (
@@ -284,17 +284,18 @@ def test_generators_verify(d):
 @pytest.mark.parametrize("d,D", [(5, 18), (6, 20)])
 def test_a_changed_class_coefficient_fails_the_kernel_check(monkeypatch, d, D):
     # the kernel check multiplies the fold matrix at a class's degree by
-    # the class vector: one coefficient raised at an element that d_fold
-    # does not kill takes that class out of the kernel
+    # the class vector: one coefficient raised at an element that the fold
+    # differential does not kill takes that class out of the kernel
     classes = generator_classes(d, D)
-    changed, el = next((cl, el) for cl in classes for el in cl.expansion(d)
-                       if differentials.differential(d, el))
+    changed, i = next((cl, i) for cl in classes
+                      for fold in [assemble_matrix(d, 1, cl.degree)]
+                      for i in cl.expansion(d, fold.source) if fold.cols[i])
     built = pages.GeneratorClass.expansion
 
-    def expansion(cl, d):
-        out = built(cl, d)
+    def expansion(cl, d, basis):
+        out = built(cl, d, basis)
         if cl is changed:
-            out[el] += 1
+            out[i] += 1
         return out
 
     monkeypatch.setattr(pages, "generator_classes", lambda d, D: classes)
@@ -322,9 +323,11 @@ def test_a_class_outside_im_d0_fails_the_sigma_check(monkeypatch):
 
 def _eager_classes(d, D):
     # the classes as (kind, family, data, degree, expansion), each
-    # expansion built up front: the recipe expansion(d) must rebuild
+    # expansion built up front in the fold basis of its degree: the
+    # recipe expansion(d, basis) must rebuild
     out = []
     fold = d + 1
+    table = lambda n: build_basis(d, 1, n).table
     for a_top in range((d + 1) % 2, d // 2 + 1, 2):
         ring = VariableSet(a_top, d + 1 - a_top)
         idx = ring.nb
@@ -332,15 +335,16 @@ def _eager_classes(d, D):
         for md in range(0, D - fold - 4 * idx + 1, 4):
             for m in enumerate_monomials(ring, md):
                 p = {mono_mul(m, unit): 1}
-                out.append(("tau", a_top // 2, p, fold + 4 * idx + md,
-                            restriction_expansion(d, a_top, p, ring)))
+                n = fold + 4 * idx + md
+                out.append(("tau", a_top // 2, p, n,
+                            restriction_expansion(d, a_top, p, ring, table(n))))
     if d % 2 == 0:
         square = VariableSet(d, d)
         for md in range(0, D - fold + 1, 4):
             for m in enumerate_monomials(VariableSet(d, 0), md):
                 q = s_hom((m[0], ()), square)
-                out.append(("sigma", None, q, fold + md,
-                            restriction_expansion(d, d // 2, q, square)))
+                out.append(("sigma", None, q, fold + md, restriction_expansion(
+                    d, d // 2, q, square, table(fold + md))))
         return out
     d2 = (d + 1) // 2
     square = VariableSet(d2, d2)
@@ -348,7 +352,7 @@ def _eager_classes(d, D):
         for k in orbit_reps(FlavoredSpace(square, SKEW), md):
             q = {k: 1, mono_swap(k): -1}
             out.append(("sigma", None, q, fold + md,
-                        restriction_expansion(d, d2, q, square)))
+                        restriction_expansion(d, d2, q, square, table(fold + md))))
     for s in enumerate_strata(d, 1):
         piece = _piece_for(s, True)
         if piece is None:
@@ -356,8 +360,9 @@ def _eager_classes(d, D):
         kind, family = ("i_top", None) if s.a == s.b else ("i", s.a)
         for md in range(0, D - piece.offset(s) + 1, 4):
             for m in orbit_reps(piece.space(s), md):
-                el = BasisElement(s, piece, m)
-                out.append((kind, family, element_terms(el), el.degree, {el: 1}))
+                n = piece.offset(s) + md
+                out.append((kind, family, _terms(piece.flavor, m), n,
+                            {table(n)(s, piece)[m]: 1}))
     return out
 
 
@@ -366,7 +371,8 @@ def test_expansion_rebuilds_the_eager_classes():
     seen = set()
     for d in range(1, 13):
         classes = generator_classes(d, 40)
-        assert [(cl.kind, cl.family, cl.data, cl.degree, cl.expansion(d))
+        assert [(cl.kind, cl.family, cl.data, cl.degree,
+                 cl.expansion(d, build_basis(d, 1, cl.degree)))
                 for cl in classes] == sorted(_eager_classes(d, 40),
                                              key=lambda cl: cl[3]), d
         seen |= {(cl.kind, d % 2) for cl in classes}
@@ -383,9 +389,11 @@ def test_even_sigma_classes_are_the_d0_images_of_the_euler_part():
         sigmas = {}
         for cl in generator_classes(d, 40):
             if cl.kind == "sigma":
-                sigmas.setdefault(cl.degree, []).append(cl.expansion(d))
+                sigmas.setdefault(cl.degree, []).append(
+                    cl.expansion(d, build_basis(d, 1, cl.degree)))
         for n in range(41):
-            want = [d0(d, el) for el in build_basis(d, 0, n - 1) if el.piece.euler]
+            M = assemble_matrix(d, 0, n - 1)
+            want = [col for el, col in zip(M.source, M.cols) if el.piece.euler]
             assert sigmas.get(n, []) == want, (d, n)
         assert sigmas, d
 
@@ -416,7 +424,7 @@ def test_generator_class_reprs_are_pinned():
 def test_generator_degrees_within_bound():
     for cl in generator_classes(5, 17):
         assert cl.degree <= 17
-        assert cl.expansion(5)
+        assert cl.expansion(5, build_basis(5, 1, cl.degree))
 
 
 @given(st.integers(1, 9), st.integers(0, 30), st.integers(1, 4))
@@ -602,6 +610,18 @@ def test_shifted_grid_matches_per_column_count(d, D):
     cells = _grid_cells(d, D)
     pages.clear_cache()
     assert cells == _per_column_grid(d, D)
+
+
+@given(st.integers(1, 20), st.integers(0, 12), st.integers(0, 80))
+@settings(max_examples=40, deadline=None)
+def test_counted_cell_is_the_assembled_cell(d, k, n):
+    # any cell the grid counts, column 0 by its Euler count and a column
+    # k >= 6 through the period-4 rule, has the size and rank of the
+    # matrix block_columns assembles
+    size_at, rank_at, shift = pages._column(pages._grid(d, 80), k)
+    counted = (size_at[n - shift], rank_at[n - shift]) if n >= shift else (0, 0)
+    M = assemble_matrix(d, k, n)
+    assert counted == (len(M.source), M.rank())
 
 
 def test_grid_grown_to_100_matches_cold_grid():
@@ -830,9 +850,11 @@ def test_d0_on_the_a0_fold_stratum_is_s_hom(d):
     piece, tpiece = _piece_for(s, True), _piece_for(t, False)
     seen = 0
     for md in range(41 - piece.offset(s)):
+        M = assemble_matrix(d, 0, piece.offset(s) + md)
+        names = list(M.target)
+        images = {el.mono: col for el, col in zip(M.source, M.cols) if el.piece.euler}
         for m in orbit_reps(piece.space(s), md):
-            image = d0(d, BasisElement(s, piece, m))
-            assert {el: c for el, c in image.items() if el.stratum == t} == \
+            assert {names[i]: c for i, c in images[m].items() if names[i].stratum == t} == \
                 {BasisElement(t, tpiece, tm): c for tm, c in s_hom(m, t.vars).items()}
             seen += 1
     assert seen
