@@ -10,7 +10,7 @@ part maps by
 
     e . m  |->  sum_a (-1)^a U_{a, d+1-a, 1} . s_hom(m),
 
-one image, restricted down the fold staircase.
+one image, restricted down the fold staircase (a, d+1-a), a <= d/2.
 
 Fold to level 2 (d1):  every Euler-carrying fold element dies.  The
 Euler-free part of the stratum (a, b) maps by restriction of variables,
@@ -19,10 +19,6 @@ Euler-free part of the stratum (a, b) maps by restriction of variables,
     0 < a < top:      U . m |-> U_{a-1, b, 2} . m| + U_{a, b-1, 2} . m|
     top, d even:      U . m |-> U_{a-1, b, 2} . m| + U_{a, a, 2} . (m| - swap m|)
     top, d odd, skew: U . k |-> U_{a-1, b, 2} . k|
-
-The fold rule states the table as the two level-2 neighbours of (a, b):
-(a - 1, b) when a > 0, and (a, b - 1) when a < b, where the square
-(a, a) takes m| - swap m|.
 
 Level 2r to 2r + 1:  for r even the Euler-free piece maps with the
 covering multiplicity 2 (onto both sign sheets when a < b, onto the
@@ -36,15 +32,14 @@ or e.(m + swap m) (r odd), landing in the skew or symmetric target.
 Each rule is stated once per source block, the monomials of one
 (stratum, piece) of a basis (e1.py), and keys the block's images
 through a table per target block: positions in assemble_matrix and in
-the generator vectors, basis elements in pages._block_ranks.  d0
-restricts one Whitney image per monomial down the fold staircase.  Out
-of a column k >= 1 _fold_legs, _even_col_legs and _odd_col_legs
-resolve the block's legs, each a target stratum and piece, an integer
-coefficient, a monomial map and an optional swap sign.  The map is the
-identity past the fold and drops at most one variable into level 2;
-only where a = b does an image take m +- swap m.  block_columns
-dispatches a block to its rule, and _carry maps the block's monomials
-through the legs in one pass.
+the generator vectors, basis elements in pages._block_ranks.  d0 is one
+staircase call per block, on the Whitney images built in staircase_ring,
+the union of the fold strata's variables.  Out of a column k >= 1 the
+block's rule resolves its legs, each a target stratum and piece, an
+integer coefficient, a monomial map (the identity past the fold, which
+drops at most one variable into level 2) and a swap sign, set only where
+a = b takes m +- swap m; _carry maps the block's monomials through the
+legs in one pass.
 """
 
 from collections import namedtuple
@@ -52,7 +47,7 @@ from weakref import WeakValueDictionary
 
 from .grading import (
     VariableSet, mono_swap, restrict_terms, restriction, s_hom, is_orbit_rep,
-    FULL, SYM, SKEW,
+    orbit_reps, FULL, SYM, SKEW,
 )
 from .strata import Stratum, column_content, PLUS, MINUS
 from .e1 import build_basis
@@ -104,25 +99,20 @@ def _target_piece(s, euler):
     return piece
 
 
-def _coordinates(flavor, terms):
-    """[(monomial, int)]: terms read off in a piece of this flavor.
-
-    Full pieces take the coefficients as they stand; symmetric and skew
-    pieces read off the coefficient at each orbit representative, after
-    checking that terms really lies in the claimed eigenspace.
-    """
-    sign = {SYM: 1, SKEW: -1}.get(flavor)
-    if sign and any(terms.get(mono_swap(m), 0) != sign * c for m, c in terms.items()):
-        raise ArithmeticError("image claimed %s is not"
-                              % ("symmetric" if sign == 1 else "skew"))
-    return [(m, c) for m, c in terms.items() if is_orbit_rep(flavor, m)]
-
-
 def _expand(out, at, flavor, terms, coef):
     """Accumulate coef * terms, read off in a target piece of this flavor,
     into the {key: int} dict out, each monomial keyed through the table at
-    (see _carry); zeros are dropped."""
-    for m, c in _coordinates(flavor, terms):
+    (see _carry); zeros are dropped.  A symmetric or skew piece reads the
+    coefficient at each orbit representative, after checking that terms
+    really lies in the claimed eigenspace."""
+    items = terms.items()
+    if flavor != FULL:
+        sign = 1 if flavor == SYM else -1
+        if any(terms.get(mono_swap(m), 0) != sign * c for m, c in items):
+            raise ArithmeticError("image claimed %s is not"
+                                  % ("symmetric" if sign == 1 else "skew"))
+        items = [(m, c) for m, c in items if is_orbit_rep(flavor, m)]
+    for m, c in items:
         key = at[m]
         v = out.get(key, 0) + coef * c
         if v:
@@ -131,25 +121,36 @@ def _expand(out, at, flavor, terms, coef):
             out.pop(key, None)
 
 
-def restriction_expansion(d, a_top, terms, vs, tables):
-    """Fold-column coordinates of sum_{a <= a_top} (-1)^a U_{a, d+1-a, 1} . p|,
-    keyed through tables (see _carry).
+def staircase_ring(d, a_top):
+    """The union of the variable ranges of the fold strata (a, d+1-a), a <= a_top."""
+    return VariableSet(2 * (a_top // 2), 2 * ((d + 1) // 2))
 
-    p is the {monomial: int} dict terms in the variables vs, and p| its
-    restrict_terms to the variables of the fold stratum (a, d+1-a).
-    """
-    out = {}
-    # restrict_terms reads only the target's na, nb, which for even d
-    # the strata a = 2j and 2j + 1 share: restrict once per pair
-    kept = {}
+
+def staircase(d, a_top, polys, vs, tables):
+    """Fold-column coordinates of sum_{a <= a_top} (-1)^a U_{a, d+1-a, 1} . p|,
+    p| the restriction of p to the variables of the stratum (a, d+1-a),
+    for each {monomial: int} dict p in polys, in the variables vs, keyed
+    through tables (see _carry).  Each stratum's table, flavor and sign
+    are resolved once and grouped by (na, nb) ranges, which the strata
+    a = 2j and 2j + 1 share for even d; each p is cut once to
+    staircase_ring(d, a_top), then restricted once per range."""
+    ring = staircase_ring(d, a_top)
+    ranges = {}
     for a in range(a_top + 1):
         t = Stratum(1, a, d + 1 - a)
-        ranges = (t.vars.na, t.vars.nb)
-        if ranges not in kept:
-            kept[ranges] = restrict_terms(terms, vs, t.vars)
         piece = _target_piece(t, False)
-        _expand(out, tables(t, piece), piece.flavor, kept[ranges], fold_sign(a))
-    return out
+        ranges.setdefault(t.vars[2:], (t.vars, []))[1].append(
+            (tables(t, piece), piece.flavor, fold_sign(a)))
+    cols = []
+    for p in polys:
+        p = p if vs == ring else restrict_terms(p, vs, ring)
+        out = {}
+        for tvs, legs in ranges.values():
+            q = restrict_terms(p, ring, tvs)
+            for at, flavor, sign in legs:
+                _expand(out, at, flavor, q, sign)
+        cols.append(out)
+    return cols
 
 
 def d0(d, s, piece, monos, tables):
@@ -157,13 +158,10 @@ def d0(d, s, piece, monos, tables):
     keyed through tables (see _carry)."""
     if not piece.euler:
         return [{} for _ in monos]
-    # s_hom is a ring map that commutes with restrict (both send the
-    # out-of-range variables to 0), so one image in P(d, d) restricts to
-    # the image in each fold stratum's own variables; the even-d sigma
-    # classes are these images in that ring, so both read one kept copy
-    vs = VariableSet(d, d)
-    return [restriction_expansion(d, d // 2, s_hom((m[0], ()), vs), vs, tables)
-            for m in monos]
+    # s_hom commutes with restriction (both send out-of-range variables to
+    # 0), so one image in the staircase's ring serves every fold stratum
+    vs = staircase_ring(d, d // 2)
+    return staircase(d, d // 2, [s_hom(m, vs) for m in monos], vs, tables)
 
 
 def _same(m):
@@ -303,25 +301,26 @@ class LinearMap(namedtuple("LinearMap", "source target cols")):
 _BASES = WeakValueDictionary()
 
 
-def _basis(d, k, n):
-    """build_basis(d, k, n), or the same basis if a live matrix holds it."""
+def _basis(d, k, n, reps):
+    """build_basis(d, k, n, reps), or the same basis if a live matrix holds it."""
     basis = _BASES.get((d, k, n))
     if basis is None:
-        basis = _BASES[(d, k, n)] = build_basis(d, k, n)
+        basis = _BASES[(d, k, n)] = build_basis(d, k, n, reps)
     return basis
 
 
-def assemble_matrix(d, k, n):
-    """Matrix of the differential out of column k, total degree n.
+def assemble_matrix(d, k, n, reps=orbit_reps):
+    """Matrix of the differential out of column k, total degree n, its
+    bases' block lists read from reps (see e1.build_basis).
 
-    block_columns maps each source block to target positions, column 0
-    included.  The source basis of (k, n) is the target basis of
-    (k - 1, n - 1): while one matrix holding a basis is alive, every other
-    matrix that needs it shares it, so a caller that keeps its matrices
-    (the reader of pages.assemble_columns) builds each basis once.
+    block_columns maps each source block to target positions.  The source
+    basis of (k, n) is the target basis of (k - 1, n - 1): while one matrix
+    holding a basis is alive, every other matrix that needs it shares it,
+    so a caller that keeps its matrices (pages.assemble_columns' reader)
+    builds each basis once.
     """
-    src = _basis(d, k, n)
-    tgt = _basis(d, k + 1, n + 1)
+    src = _basis(d, k, n, reps)
+    tgt = _basis(d, k + 1, n + 1, reps)
     cols = []
     for s, piece, monos in src.blocks:
         cols += block_columns(d, s, piece, monos, tgt.table)

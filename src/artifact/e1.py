@@ -103,12 +103,13 @@ class _Positions(dict):
                               % (BasisElement(s, piece, m), column, degree))
 
 
-def build_basis(d, k, n):
-    """The ordered basis of column k in total degree n."""
+def build_basis(d, k, n, reps=orbit_reps):
+    """The ordered basis of column k in total degree n, each block's list
+    read from reps(space, internal degree)."""
     blocks = []
     for s in enumerate_strata(d, k):
         for piece in column_content(s):
-            monos = orbit_reps(piece.space(s), n - piece.offset(s))
+            monos = reps(piece.space(s), n - piece.offset(s))
             if monos:
                 blocks.append((s, piece, monos))
     return IndexedBasis(k, n, blocks)

@@ -8,11 +8,9 @@ the rational cohomology of BSO_a x BSO_b away from Euler classes, with
 deg p_i = deg p'_i = 4i.  When the two variable ranges agree the swap
 involution exchanges primed and unprimed variables and splits P(a, b)
 into symmetric and skew summands.  Rank counting happens in truncated
-integer power series in one variable t.  free_gca_series, the one kernel
-that expands a free algebra's series, runs one pass per unit of multiplicity
-up to 2 m^2 adds and its log-derivative recurrence beyond; space_series
-calls it for P(a, b) and its swap-fixed subring and keeps each result per
-(space, D).  Series adds and shifts.
+integer power series in one variable t: free_gca_series, the one kernel
+that expands a free algebra's series, gives those of P(a, b) and its
+swap-fixed subring to space_series.  Series adds and shifts.
 
 All arithmetic is exact.  A polynomial is a {monomial: int} dict, and
 every map the engine applies (Whitney splitting, restriction, swap, the
@@ -26,17 +24,13 @@ symmetric and skew flavors is stated once, in is_orbit_rep.
 
 The kernels the generator labels and certificates lean on (s_hom,
 enumerate_monomials, mono_str and poly_str) work on exponent tuples and
-plain dicts, and keep their work until pages.clear_cache(): s_hom every
-Whitney image into a target with both kinds of variable (into any other
-its image is one monomial, read off the exponents), with per position a
-bump map from a tuple to its raised copy and, in the identity map, one
-copy of each tuple and monomial; enumerate_monomials its tuples per
-(weights, degree); mono_str and poly_str the degree and text per
-exponent tuple; and space_series each series per (space, D).  A kept
-image, tuple list or series is handed to every caller as it is, never
-copied, so callers read it and never mutate it.  Bad arguments raise
-ValueError and the exactness guards in space_series and free_gca_series
-raise ArithmeticError, so every check holds under python -O.
+plain dicts, and keep their work until pages.clear_cache(), in the
+tables above s_hom and per (weights, degree); space_series keeps each
+series per (space, D).  A kept image, tuple list or series is handed to
+every caller as it is, never copied, so callers read it and never mutate
+it.  Bad arguments raise ValueError and the exactness guards in
+space_series and free_gca_series raise ArithmeticError, so every check
+holds under python -O.
 """
 
 from collections import namedtuple
@@ -439,5 +433,6 @@ def is_orbit_rep(flavor, m):
 
 def orbit_reps(space, degree):
     """The monomials standing for a basis of one degree of a flavored space."""
-    return [m for m in enumerate_monomials(space.vars, degree)
-            if is_orbit_rep(space.flavor, m)]
+    monos = enumerate_monomials(space.vars, degree)
+    return monos if space.flavor == FULL else [
+        m for m in monos if is_orbit_rep(space.flavor, m)]

@@ -7,57 +7,45 @@ a column k below the truncation the second-page rank at total degree n is
     e2(k, n) = dim E1(k, n) - rank d(k, n) - rank d(k-1, n-1),
 
 while the top column of a finite truncation keeps its whole kernel.
-Summing over columns gives the total cohomology rank series; a report
-compares it coefficient by coefficient against the closed-form series
-encoded per residue of d when its verdict is read, so a request that
-reads only ranks builds no closed form.
+Summing over columns gives the total rank series; a report compares it
+with the closed form encoded per residue of d only when its verdict is
+read, so a request that reads only ranks builds no closed form.
 
 The grid counts every rank.  Column 0's is its Euler count, certified by
 d0's rows on the fold stratum (0, d + 1), where s_hom sends p_i to p'_i
-and keeps no image.  Out of a column k >= 1 the map is a sum of tiny
-blocks, one per swap orbit {m, swap m} of P(d + 1, d + 1), and
-_block_ranks ranks one block per type: the extents (i, j) of m, with
-2(i + j) <= d + 1 (a stratum (a, b) holds p_i p'_j only if 2i <= a and
-2j <= b), and whether swap m = m.  It asks differentials.block_columns,
-the rules assemble_matrix applies, once per (stratum, piece) for the
-monomials of every type, and ranks only nonzero rows, so a piece the
-rule kills builds none.  No block rank depends on D, so the grid ranks
-them once per d, keeps those of nonzero rank, and _counted_ranks sums
-them against the orbit counts up to D.  The rules read a level >= 2
-only mod 4 and column k's Thom class sits in degree d + k, so column k
-in degree n is column k - 4 in degree n - 4: the grid keeps columns
-0..5 alone, and _column reads a column k >= 6 as column
-2 + (k - 2) % 4, k - that degrees lower.  The
-grid grows in D by the new degrees alone: it appends their column sizes,
-read off the pieces' series, and their counted ranks to the kept lists,
-and certifies them, column 0 by d0's sub-block in each new degree,
-column 1 by assembling one guard cell per build or growth, the lowest
-new fold cell, which is all a growth applies the differential to.
-With the grid each d keeps one page per truncation, the nonzero cells
-and total ranks _e2_cells walked, degree by degree.  A cell reads no
-degree above its own, so e2_ranks answers a smaller D from a page's
-prefix, and a larger D walks the new degrees alone into a new page;
-loopspace_series reads the same totals and keeps its series on the
-page, one per offset, a smaller D read as its prefix.  verify's three
-checks all take (d, D) and share one reader, assemble_columns(d, D), which
-assembles a matrix on its first read and keeps it, so a check builds
-only the cells it reads, and builds each (column, degree) basis once for
-the two matrices that use it.
-With K = max(1, D - d), chain_check multiplies consecutive matrices out
-of columns 0..min(5, K - 1), collapse_check ranks the counted cells of
-columns 1..min(5, K) and verify_generators reads d0's images and the
-fold matrices.  So verify certifies columns 0..6 by assembly; a column
-k >= 7 rests on the period-4 rule, which the tests check on the counted
-grid only (d <= 16, D = 60), and on the summed closed form.
+and keeps no image.  Out of a column k >= 1 the map splits into tiny
+blocks by swap orbit type (_block_ranks), ranked once per d with the
+rules assemble_matrix applies and summed against the orbit counts up to
+D (_counted_ranks).  The rules read a level >= 2 only mod 4 and column
+k's Thom class sits in degree d + k, so column k in degree n is column
+k - 4 in degree n - 4: the grid keeps columns 0..5 alone, and _column
+reads a column k >= 6 as column 2 + (k - 2) % 4, k - that degrees lower.
+The grid grows in D by the new degrees alone, certified by d0's
+sub-block in each and by one assembled guard cell, the lowest new fold
+cell.  Each d keeps one page per truncation, the nonzero cells and total
+ranks _e2_cells walked: a smaller D reads a page's prefix, a larger D
+walks the new degrees alone, and loopspace_series keeps its series on
+the page, one per offset.
+
+verify's three checks take (d, D) and share one reader,
+assemble_columns(d, D), which assembles a matrix on its first read and
+keeps it, builds each (column, degree) basis once for the two matrices
+that use it, and lists the monomials of each (space, internal degree)
+once, for every basis block and generator class.  With K = max(1, D - d),
+chain_check multiplies consecutive matrices out of columns
+0..min(5, K - 1), collapse_check ranks the counted cells of columns
+1..min(5, K) and verify_generators reads d0's images and the fold
+matrices.  So verify certifies columns 0..6 by assembly; a column k >= 7
+rests on the period-4 rule, which the tests check on the counted grid
+only (d <= 16, D = 60), and on the summed closed form.
 
 The fold-column kernel admits explicit generator families (tau, sigma,
-and the Euler-carried I classes for odd d); generator_classes builds
-their labels and degrees in one loop over the degrees, and
-verify_generators reads each degree's classes as one run and checks
-that they exhaust the computed second page, building each class's
-vector in its degree's step and dropping it after: its positions in
-the fold basis of that degree, read through the tables the fold
-matrix's source keeps, as the rules read theirs.
+and the Euler-carried I classes for odd d), listed by generator_classes.
+verify_generators checks that they exhaust the computed second page,
+building each degree's vectors in its step, in the fold basis of that
+degree: one staircase call per run of tau or odd-d sigma classes, and
+one d0 call for the even-d sigma classes, whose images live in the
+staircase's ring.  Only the labels build s_hom(m) in P(d, d).
 
 clear_cache() empties the grid and the eight tables the modules below
 keep for reuse (Whitney images, bump maps holding one copy of their
@@ -68,18 +56,19 @@ how often the same work is done.
 
 from collections import defaultdict, namedtuple
 from functools import cache, partial
-from itertools import islice
+from itertools import groupby, islice
+from operator import attrgetter
 
 from .grading import (
     VariableSet, Series, FlavoredSpace, FULL, SYM, SKEW,
     enumerate_monomials, orbit_reps, space_series, s_hom, mono_swap,
-    mono_mul, is_orbit_rep, restrict_terms, poly_str,
+    is_orbit_rep, restrict_terms, poly_str,
     _IMAGES, _BUMPS, _TEXT, _Filled, _exponent_tuples,
 )
 from .strata import Stratum, enumerate_strata, column_content, _variables
 from .e1 import BasisElement, IndexedBasis
 from .differentials import (
-    block_columns, assemble_matrix, restriction_expansion, _terms, _piece_for,
+    block_columns, assemble_matrix, staircase, d0, _terms, _piece_for,
     LinearMap, _BASES,
 )
 from .linalg import rank
@@ -139,7 +128,8 @@ def _block_ranks(d, columns):
     U = VariableSet(d + 1, d + 1)  # holds every stratum's variables
     spaces = {s.vars for k in columns for s in enumerate_strata(d, k)}
     types = []  # (orbit type, its orbit restricted into each space)
-    # only types with 2(i + j) <= d + 1 have blocks (see the module docstring)
+    # a stratum (a, b) holds p_i p'_j only if 2i <= a and 2j <= b, so only
+    # types with 2(i + j) <= d + 1 have blocks
     for j in range(U.nb + 1):
         for i in range(min(j, U.nb - j) + 1):
             for y in (1, 2) if i == j > 0 else (1,):
@@ -450,17 +440,26 @@ def closed_form_notes(d, R):
     return notes
 
 
-class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree recipe")):
-    """One explicit fold-column kernel class.
+class GeneratorClass(namedtuple("GeneratorClass", "kind family mono degree recipe")):
+    """One explicit fold-column kernel class, built from the basis element
+    (stratum, piece, mono) of its recipe (stratum, piece).
 
     kind is 'tau', 'sigma', 'i', or 'i_top'; family is the tau index j,
-    the even symbol a of an I class, or None; data is the defining
-    polynomial as a {monomial: int} dict; recipe is what expansion(d,
-    basis) builds the class from: the (a_top, variable set) a tau or sigma
-    class restricts data from, or an I class's basis element.
-    """
+    the even symbol a of an I class, or None.  An I class is its element of
+    the fold column's Euler part, and the even-d sigma class of e.m in
+    column 0 is d0(e.m); a tau or odd-d sigma class restricts its element
+    of the Euler-free piece of a fold stratum (a_top, d+1-a_top) down the
+    fold staircase.  Its vector (_vectors) and data, the defining
+    polynomial, are built on each read."""
 
     __slots__ = ()
+
+    @property
+    def data(self):
+        s, piece = self.recipe
+        if s.level == 0:  # d0(e.m): s_hom(m) in P(d, d)
+            return s_hom(self.mono, VariableSet(s.a, s.a))
+        return _terms(piece.flavor, self.mono)
 
     def label(self):
         if self.kind == "tau":
@@ -474,63 +473,63 @@ class GeneratorClass(namedtuple("GeneratorClass", "kind family data degree recip
     def expansion(self, d, basis):
         """The class as {position: int} in basis, the fold basis of its
         degree, built anew on each call and kept by no one."""
-        if self.kind in ("i", "i_top"):
-            s, piece, m = self.recipe
-            return {basis.table(s, piece)[m]: 1}
-        a_top, vs = self.recipe
-        return restriction_expansion(d, a_top, self.data, vs, basis.table)
+        return _vectors(d, [self], basis)[0]
 
     def __repr__(self):
         return "%s deg=%d" % (self.label(), self.degree)
 
 
-def generator_classes(d, D):
-    """All fold-column kernel generators of degree <= D, in ascending degree.
+def _vectors(d, run, basis):
+    """The vectors of a run of classes of one recipe, as {position: int} in
+    basis, the fold basis of their degree: one d0 call (even-d sigma), unit
+    vectors (I classes) or one staircase call (tau, odd-d sigma)."""
+    s, piece = run[0].recipe
+    monos = [cl.mono for cl in run]
+    if s.level == 0:
+        return d0(d, s, piece, monos, basis.table)
+    if piece.euler:
+        at = basis.table(s, piece)
+        return [{at[m]: 1} for m in monos]
+    return staircase(d, s.a, [cl.data for cl in run], s.vars, basis.table)
 
-    Every tau and sigma class is a polynomial restricted down the fold
-    staircase (restriction_expansion).  tau classes, one family per
-    a_top of the parity of d + 1, restrict a multiple of the top primed
-    variable of P(a_top, d+1-a_top).  For even d the sigma class of m is
-    d0(e.m): its defining polynomial is s_hom(m) in P(d, d), the same
-    kept image d0 restricts, so each image is built once.  For
-    odd d the sigma classes restrict a skew polynomial from the top fold
-    stratum, and the Euler part of the fold column, which the fold rule kills
-    and nothing maps into, gives the I classes (I_top at a = b).  One
-    loop asks every family for each degree: tau family by family in
-    ascending a_top, then sigma, then the I classes stratum by stratum.
+
+def generator_classes(d, D, reps=orbit_reps):
+    """All fold-column kernel generators of degree <= D, in ascending degree,
+    each family's monomials listed by reps(space, internal degree).
+
+    tau classes, one family per a_top of the parity of d + 1, restrict a
+    multiple of the top primed variable of P(a_top, d+1-a_top) down the
+    fold staircase.  For even d the sigma class of m is d0(e.m), e.m an
+    Euler element of column 0; for odd d the sigma classes restrict a skew
+    polynomial from the top fold stratum, and the Euler part of the fold
+    column, which the fold rule kills and nothing maps into, gives the I
+    classes (I_top at a = b).  Each degree lists tau in ascending a_top,
+    then sigma, then the I classes stratum by stratum.
     """
     fold_strata = enumerate_strata(d, 1)  # rejects d < 1
     if D < 0:
         raise ValueError("max degree %d is below 0" % D)
-    fold = d + 1
-    taus = []  # (family, ring, its top primed variable, lowest degree, recipe)
-    for a_top in range((d + 1) % 2, d // 2 + 1, 2):
-        ring = VariableSet(a_top, d + 1 - a_top)
-        idx = ring.nb
-        unit = ((0,) * ring.na, tuple(1 if t == idx - 1 else 0 for t in range(ring.nb)))
-        taus.append((a_top // 2, ring, unit, fold + 4 * idx, (a_top, ring)))
-    if d % 2 == 0:
-        square = VariableSet(d, d)
-        sigma = lambda md: [s_hom((m[0], ()), square)
-                            for m in enumerate_monomials(VariableSet(d, 0), md)]
-    else:
-        square = VariableSet(fold // 2, fold // 2)
-        sigma = lambda md: [{k: 1, mono_swap(k): -1}
-                            for k in orbit_reps(FlavoredSpace(square, SKEW), md)]
-    recipe = (fold // 2, square)  # sigma restricts from the top fold stratum
+    # (kind, family, recipe); tau: one family per a_top
+    families = [("tau", s.a // 2, (s, _piece_for(s, False)))
+                for s in fold_strata[(d + 1) % 2:d // 2 + 1:2]]
+    # sigma: column 0's Euler part for even d, the skew top fold stratum for odd d
+    s = enumerate_strata(d, 0)[0] if d % 2 == 0 else fold_strata[-1]
+    families.append(("sigma", None, (s, _piece_for(s, s.level == 0))))
     # the Euler part of the fold column: none for even d, where a + b is odd
-    eulers = [(s, piece, ("i_top", None) if s.a == s.b else ("i", s.a))
-              for s in fold_strata if (piece := _piece_for(s, True))]
+    for s in fold_strata:
+        if piece := _piece_for(s, True):
+            families.append(("i_top", None, (s, piece)) if s.a == s.b
+                            else ("i", s.a, (s, piece)))
     out = []
     for n in range(D + 1):
-        for family, ring, unit, low, tau_recipe in taus:
-            out += [GeneratorClass("tau", family, {mono_mul(m, unit): 1}, n, tau_recipe)
-                    for m in enumerate_monomials(ring, n - low)]
-        out += [GeneratorClass("sigma", None, q, n, recipe) for q in sigma(n - fold)]
-        for s, piece, (kind, family) in eulers:
-            for m in orbit_reps(piece.space(s), n - piece.offset(s)):
-                out.append(GeneratorClass(kind, family, _terms(piece.flavor, m), n,
-                                          BasisElement(s, piece, m)))
+        for kind, family, recipe in families:
+            s, piece = recipe
+            # a class of degree n is an element of degree n - 1 in column 0
+            # (d0 raises the degree by one) or n in the fold column; tau
+            # keeps the monomials the top primed variable divides
+            out += [GeneratorClass(kind, family, m, n, recipe)
+                    for m in reps(piece.space(s), n - 1 + s.level - piece.offset(s))
+                    if kind != "tau" or m[1][-1]]
     return out
 
 
@@ -555,13 +554,16 @@ class CheckReport(namedtuple("CheckReport", "title entries")):
 
 
 def assemble_columns(d, D):
-    """The reader verify's checks share: maps(k, n) is assemble_matrix(d, k, n),
-    assembled on its first read and kept.  The kept matrices share their
-    bases, so the reader builds each (column, degree) basis once, for its
-    source and its target role alike."""
+    """The reader verify's checks share: maps(k, n) is assemble_matrix(d, k,
+    n, maps.reps), assembled on its first read and kept.  The kept matrices
+    share their bases, so the reader builds each (column, degree) basis
+    once; maps.reps, orbit_reps kept per (space, degree) by this reader
+    alone, lists the monomials of every block and generator class once."""
     if D < 0:
         raise ValueError("max degree %d is below 0" % D)
-    return cache(partial(assemble_matrix, d))
+    maps = cache(lambda k, n: assemble_matrix(d, k, n, maps.reps))
+    maps.reps = cache(orbit_reps)
+    return maps
 
 
 def _reader(d, D, maps):
@@ -574,16 +576,18 @@ def _reader(d, D, maps):
 def verify_generators(d, D, *, maps=None):
     """Check the generator families against the computed second page.
 
-    Three checks: every class lies in the kernel of the fold
-    differential; for even d the sigma classes lie in the image of d0;
-    the remaining classes span a complement of that image whose rank
-    matches e2(column 1) in every degree up to D.  maps defaults to
-    assemble_columns(d, D).
+    Three checks: every class lies in the kernel of the fold differential;
+    for even d the sigma classes lie in the image of d0; the remaining
+    classes span a complement of that image whose rank matches e2(column 1)
+    in every degree up to D.  maps, an assemble_columns(d, D) reader whose
+    lists the classes share, defaults to a new one.
     """
     maps = _reader(d, D, maps)
     _, sizes, ranks, _, _ = _grid(d, D)
-    classes = generator_classes(d, D)
-    at = 0  # the classes come in ascending degree: each degree's are one run
+    classes = generator_classes(d, D, maps.reps)
+    runs = defaultdict(list)  # degree -> its runs of classes of one recipe
+    for (n, _), run in groupby(classes, key=attrgetter("degree", "recipe")):
+        runs[n].append(list(run))
     bad_kernel = 0
     sigma_ok = True
     span_bad = None
@@ -593,16 +597,14 @@ def verify_generators(d, D, *, maps=None):
         image_rows = [col for col in maps(0, n - 1).cols if col]
         im = ranks[0][n - 1]
         fold = maps(1, n)
-        vecs = {"sigma": [], "rest": []}
-        while at < len(classes) and classes[at].degree == n:
-            cl, at = classes[at], at + 1
-            vec = cl.expansion(d, fold.source)
-            bad_kernel += bool(fold.apply(vec))
-            key = "sigma" if (d % 2 == 0 and cl.kind == "sigma") else "rest"
-            vecs[key].append(vec)
-        if vecs["sigma"] and rank(image_rows + vecs["sigma"]) != im:
+        sigma, rest = [], []
+        for run in runs[n]:
+            for cl, vec in zip(run, _vectors(d, run, fold.source)):
+                bad_kernel += bool(fold.apply(vec))
+                (sigma if d % 2 == 0 and cl.kind == "sigma" else rest).append(vec)
+        if sigma and rank(image_rows + sigma) != im:
             sigma_ok = False
-        got = rank(image_rows + vecs["rest"]) - im
+        got = rank(image_rows + rest) - im
         e2 = sizes[1][n] - ranks[1][n] - im
         if got != e2 and span_bad is None:
             span_bad = (n, got, e2)

@@ -10,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import differentials
+from artifact import differentials, pages
 from artifact.grading import (
-    mono_swap, s_hom, restrict_terms, is_orbit_rep, FULL, SYM, SKEW,
+    VariableSet, mono_swap, s_hom, restrict_terms, is_orbit_rep, orbit_reps,
+    FULL, SYM, SKEW,
 )
-from artifact.strata import Stratum, column_content, PLUS, MINUS
+from artifact.strata import Stratum, column_content, enumerate_strata, PLUS, MINUS
 from artifact.e1 import BasisElement, build_basis
-from artifact.differentials import fold_sign, COVER_FACTOR, _terms, assemble_matrix
-from artifact.pages import chain_check
+from artifact.differentials import (
+    fold_sign, COVER_FACTOR, _terms, _piece_for, assemble_matrix,
+)
+from artifact.pages import chain_check, generator_classes
 
 
 def _by_name(image):
@@ -106,6 +109,25 @@ def _ref_d0(d, el):
             t = Stratum(1, a, d + 1 - a)
             _ref_expand(out, t, False, s_hom((el.mono[0], ()), t.vars),
                         differentials.fold_sign(a))
+    return out
+
+
+def restriction_expansion(d, a_top, terms, vs, tables):
+    """The staircase one polynomial at a time: fold-column coordinates of
+    sum_{a <= a_top} (-1)^a U_{a, d+1-a, 1} . p|, p the {monomial: int}
+    dict terms in the variables vs restricted to each fold stratum's own,
+    keyed through tables.  The per-class reference differentials.staircase
+    must match, reading differentials.fold_sign when called."""
+    out = {}
+    kept = {}
+    for a in range(a_top + 1):
+        t = Stratum(1, a, d + 1 - a)
+        ranges = (t.vars.na, t.vars.nb)
+        if ranges not in kept:
+            kept[ranges] = restrict_terms(terms, vs, t.vars)
+        piece = differentials._target_piece(t, False)
+        differentials._expand(out, tables(t, piece), piece.flavor, kept[ranges],
+                              differentials.fold_sign(a))
     return out
 
 
@@ -463,3 +485,83 @@ def test_argument_checks_and_guards_survive_O():
         "basis (1, 7) lists an element twice",
         "U_{0,7,1}.p'_1 is not in the basis of column 1 degree 7",
     ]
+
+
+def _staircase_families(d):
+    # what the staircase rule serves at d: tau for each a_top, the sigma
+    # classes, and at even d d0's column-0 Euler block
+    return ([("tau", a_top) for a_top in range((d + 1) % 2, d // 2 + 1, 2)]
+            + [("sigma", (d + 1) // 2 if d % 2 else d // 2)]
+            + ([("d0", d // 2)] if d % 2 == 0 else []))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_staircase_rule_matches_the_per_class_reference(data):
+    # the block rule resolves each fold stratum once and restricts a whole
+    # run of polynomials, cut once to the staircase's ring; the reference
+    # restricts one class at a time from the class's own ring, the even-d
+    # Whitney images from P(d, d).  The same vectors, in the same order,
+    # for tau of each a_top, sigma of both parities and d0's block
+    d = data.draw(st.integers(1, 16), label="d")
+    kind, a_top = data.draw(st.sampled_from(_staircase_families(d)), label="family")
+    if kind == "tau":
+        ring = VariableSet(a_top, d + 1 - a_top)
+        low = d + 1 + 4 * ring.nb
+    else:
+        ring = VariableSet(a_top, a_top) if d % 2 else VariableSet(d, d)
+        low = d + 1
+    n = data.draw(st.sampled_from(range(low, 61, 4)), label="n")
+    basis = build_basis(d, 1, n)
+    table = basis.table
+    if kind == "d0":
+        [s] = enumerate_strata(d, 0)
+        piece = _piece_for(s, True)
+        monos = orbit_reps(piece.space(s), n - low)
+        got = differentials.d0(d, s, piece, monos, table)
+        polys = [s_hom(m, ring) for m in monos]
+    else:
+        run = [cl for cl in generator_classes(d, n) if cl.degree == n
+               and cl.kind == kind and cl.family in (None, a_top // 2)]
+        got = pages._vectors(d, run, basis) if run else []
+        polys = [cl.data for cl in run]
+    assert got == [restriction_expansion(d, a_top, p, ring, table) for p in polys]
+
+
+def test_staircase_guards_survive_O():
+    # faults planted into a staircase block at d = 3, whose square top
+    # (2, 2) takes only skew polynomials: p_1 alone is not skew, p'_1 of
+    # degree 4 has no place in the fold basis of degree 12, and p_1 is not
+    # symmetric either, where the top is patched to a symmetric piece.
+    # Each must raise under -O through the block rule
+    import artifact
+    code = (
+        "from artifact import differentials\n"
+        "from artifact.e1 import build_basis\n"
+        "from artifact.grading import SYM, VariableSet\n"
+        "from artifact.strata import ContentPiece\n"
+        "vs, p1, q1 = VariableSet(2, 2), ((1,), (0,)), ((0,), (1,))\n"
+        "def block(poly, n):\n"
+        "    return differentials.staircase(3, 2, [poly], vs, build_basis(3, 1, n).table)\n"
+        "def symmetric_top(s, euler, real=differentials._piece_for):\n"
+        "    return ContentPiece(False, SYM) if s.a == s.b else real(s, euler)\n"
+        "def patched(f):\n"
+        "    differentials._piece_for = symmetric_top\n"
+        "    return f()\n"
+        "for f in [lambda: block({p1: 1}, 8), lambda: block({q1: 1}, 12),\n"
+        "          lambda: patched(lambda: block({p1: 1}, 8))]:\n"
+        "    try:\n"
+        "        f()\n"
+        "    except ArithmeticError as e:\n"
+        "        print(e)\n"
+        "    else:\n"
+        "        raise SystemExit('not raised')\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(artifact.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "image claimed skew is not",
+        "U_{0,4,1}.p'_1 is not in the basis of column 1 degree 12",
+        "image claimed symmetric is not"]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from artifact import differentials, pages
 from artifact.cli import main
 from artifact.differentials import (
-    _piece_for, _terms, LinearMap, assemble_matrix, restriction_expansion,
+    _piece_for, _terms, LinearMap, assemble_matrix,
 )
 from artifact.e1 import BasisElement, build_basis, column_series
 from artifact.grading import (
@@ -26,7 +26,8 @@ from artifact.pages import (
     e2_ranks, closed_form, closed_form_notes, generator_classes, verify_generators,
     chain_check, collapse_check, PageCell, PageReport, CheckReport,
 )
-from artifact.strata import Stratum, enumerate_strata, column_content
+from artifact.strata import Stratum, enumerate_strata, column_content, PLUS, MINUS
+from test_differentials import restriction_expansion
 
 
 def test_d4_full_sequence_series():
@@ -285,21 +286,23 @@ def test_generators_verify(d):
 def test_a_changed_class_coefficient_fails_the_kernel_check(monkeypatch, d, D):
     # the kernel check multiplies the fold matrix at a class's degree by
     # the class vector: one coefficient raised at an element that the fold
-    # differential does not kill takes that class out of the kernel
+    # differential does not kill takes that class out of the kernel.  The
+    # check builds its vectors run by run through _vectors
     classes = generator_classes(d, D)
     changed, i = next((cl, i) for cl in classes
                       for fold in [assemble_matrix(d, 1, cl.degree)]
                       for i in cl.expansion(d, fold.source) if fold.cols[i])
-    built = pages.GeneratorClass.expansion
+    built = pages._vectors
 
-    def expansion(cl, d, basis):
-        out = built(cl, d, basis)
-        if cl is changed:
-            out[i] += 1
+    def vectors(d, run, basis):
+        out = built(d, run, basis)
+        for cl, vec in zip(run, out):
+            if cl is changed:
+                vec[i] += 1
         return out
 
-    monkeypatch.setattr(pages, "generator_classes", lambda d, D: classes)
-    monkeypatch.setattr(pages.GeneratorClass, "expansion", expansion)
+    monkeypatch.setattr(pages, "generator_classes", lambda d, D, reps: classes)
+    monkeypatch.setattr(pages, "_vectors", vectors)
     assert verify_generators(d, D).entries[0] == (
         "generators: all classes lie in ker d1", False,
         "%d classes, 1 failures" % len(classes))
@@ -314,7 +317,7 @@ def test_a_class_outside_im_d0_fails_the_sigma_check(monkeypatch):
     [i] = [i for i, cl in enumerate(classes) if cl.label() == "tau[j=0](p'_3)"]
     assert classes[i].degree == 19
     classes[i] = classes[i]._replace(kind="sigma")
-    monkeypatch.setattr(pages, "generator_classes", lambda d, D: classes)
+    monkeypatch.setattr(pages, "generator_classes", lambda d, D, reps: classes)
     assert [(name, ok) for name, ok, _ in verify_generators(d, D).entries] == [
         ("generators: all classes lie in ker d1", True),
         ("generators: sigma classes lie in im d0", False),
@@ -704,7 +707,7 @@ def test_a_check_called_alone_assembles_only_the_cells_it_reads(monkeypatch):
     calls = []
     real = pages.assemble_matrix
     monkeypatch.setattr(pages, "assemble_matrix",
-                        lambda d, k, n: calls.append((k, n)) or real(d, k, n))
+                        lambda d, k, n, reps: calls.append((k, n)) or real(d, k, n, reps))
     assert collapse_check(6, 12).ok
     assert {k for k, _ in calls} == {1, 2, 3, 4, 5}
     assert len(calls) == len(set(calls))
@@ -739,14 +742,22 @@ def test_one_term_images_share_no_monomial():
 
 @pytest.mark.parametrize("d", [6, 8, 12])
 def test_d0_and_the_sigma_classes_keep_images_in_one_ring(d):
-    # d0 builds its images in P(d, d), the ring of the even-d sigma
-    # classes, so verify's three checks on one reader keep one image table
+    # d0 builds its images in the staircase's ring, the union of the fold
+    # strata's variable ranges, and the even-d sigma vectors are d0's
+    # images, so verify's three checks on one reader keep one image table,
+    # in that ring; only the labels build s_hom(m) in P(d, d)
     from artifact import grading
     pages.clear_cache()
     maps = pages.assemble_columns(d, 30)
     for check in (chain_check, collapse_check, verify_generators):
         check(d, 30, maps=maps)
-    assert set(grading._IMAGES) == {VariableSet(d, d)}
+    ring = VariableSet(2 * (d // 4), d)
+    assert (ring.na, ring.nb) == (max(s.vars.na for s in enumerate_strata(d, 1)),
+                                  max(s.vars.nb for s in enumerate_strata(d, 1)))
+    assert set(grading._IMAGES) == {ring}
+    for cl in generator_classes(d, 30):
+        cl.label()
+    assert set(grading._IMAGES) == {ring, VariableSet(d, d)}
     pages.clear_cache()
 
 
@@ -839,6 +850,47 @@ def test_kept_tables_are_shared_not_copied():
     pages.clear_cache()
     assert s_hom(((1, 1, 1), ()), sq) is not img
     assert s_hom(((1, 1, 1), ()), sq) == img
+    pages.clear_cache()
+
+
+def _list_tables():
+    # the live orbit_reps caches: a reader owns one, nothing else does
+    import gc
+    gc.collect()
+    return sum(1 for o in gc.get_objects()
+               if type(o).__name__ == "_lru_cache_wrapper" and o.__wrapped__ is orbit_reps)
+
+
+def test_a_reader_lists_each_block_once_and_keeps_its_lists_to_itself():
+    # one monomial list per (space, internal degree), owned by the reader:
+    # the Euler block of (2, a, b) in the source of maps(2, n) is the very
+    # list of (3, a, b, +) and (3, a, b, -) in its target, and the classes
+    # verify_generators lists from the reader at odd d hold the monomials
+    # of the fold basis blocks of their degree themselves, not equal copies
+    pages.clear_cache()
+    before = _list_tables()
+    maps = pages.assemble_columns(8, 40)
+    assert _list_tables() == before + 1
+    M = maps(2, 26)
+    target = {(s, p): ms for s, p, ms in M.target.blocks}
+    shared = [(s, p) for s, p, ms in M.source.blocks if p.euler and s.a != s.b
+              for sign in (PLUS, MINUS) if target[Stratum(3, s.a, s.b, sign), p] is ms]
+    assert len(shared) == 4  # (2, 0, 8) and (2, 2, 6), onto both sheets
+    maps = pages.assemble_columns(7, 40)
+    classes = generator_classes(7, 40, maps.reps)
+    assert {cl.kind for cl in classes} == {"tau", "sigma", "i", "i_top"}
+    for cl in classes:
+        assert any(m is cl.mono for _, _, ms in maps(1, cl.degree).source.blocks
+                   for m in ms), cl
+    assert not any(m is cl.mono for cl in generator_classes(7, 40)
+                   for _, _, ms in maps(1, cl.degree).source.blocks for m in ms)
+    # the e2 path keeps no list table: a warm session leaves none behind
+    del maps, M, target
+    before = _list_tables()
+    for D in (40, 60, 80):
+        e2_ranks(6, "inf", D)
+        loopspace_series(6, 2, D)
+    assert _list_tables() == before
     pages.clear_cache()
 
 
